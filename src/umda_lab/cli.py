@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle
 from ._version import VERSION
-from .engine import UmdaConfig, run
+from .engine import ENGINES, UmdaConfig, run, step
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -30,7 +30,7 @@ from .experiments import (
     write_bundle,
     write_trace_csv,
 )
-from .model import init_model
+from .model import ProbabilityVector, init_model
 from .objectives import NoiseConfig, expected_noisy_fitness, leading_ones, noisy_leading_ones_batch
 
 
@@ -46,6 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--noise-p", type=float, default=0.0, help="bit-flip noise probability")
     p_run.add_argument("--max-evals", type=int, default=None, help="evaluation budget (default 100*n^2)")
     p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--engine", choices=ENGINES, default="levels",
+                       help="level-count engine (default) or the bit-level reference")
     p_run.add_argument("--trace", action="store_true", help="write trace.csv to the output directory")
     p_run.add_argument("--out-dir", type=Path, default=Path("."))
 
@@ -55,13 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--jobs", type=int, default=1, help="worker threads for replications")
 
     p_oracle = sub.add_parser("oracle", help="run an exact-reference check")
-    p_oracle.add_argument("check", choices=("chain", "maxlo", "tailmarginal", "noise-expectation"))
+    p_oracle.add_argument("check", choices=("chain", "maxlo", "tailmarginal", "noise-expectation", "transition"))
     p_oracle.add_argument("--n", type=int, default=None)
     p_oracle.add_argument("--lambda", dest="lam", type=int, default=4)
+    p_oracle.add_argument("--mu", type=int, default=2)
     p_oracle.add_argument("--k", type=int, default=2)
     p_oracle.add_argument("--q", type=float, default=0.5)
     p_oracle.add_argument("--p", type=float, default=0.3)
-    p_oracle.add_argument("--samples", type=int, default=200_000)
+    p_oracle.add_argument("--samples", type=int, default=None,
+                          help="Monte Carlo samples (default 200000 for noise-expectation, 20000 per engine for transition)")
     p_oracle.add_argument("--reps", type=int, default=3)
     p_oracle.add_argument("--iterations", type=int, default=1500)
     p_oracle.add_argument("--gamma0", type=float, default=0.5)
@@ -78,6 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         max_evals=args.max_evals,
         seed=args.seed,
         record_trace=True,
+        engine=args.engine,
     )
     result = run(config)
     if args.trace:
@@ -192,26 +197,63 @@ def _oracle_tailmarginal(args: argparse.Namespace) -> dict:
 
 def _oracle_noise_expectation(args: argparse.Namespace) -> dict:
     n = args.n if args.n is not None else 20
+    samples = args.samples if args.samples is not None else 200_000
     rng = np.random.default_rng(args.seed)
     bits = (rng.random(n) < init_model(n).marginals).astype(np.uint8)
     noise = NoiseConfig(args.p)
     exact = expected_noisy_fitness(bits, noise)
-    tiled = np.tile(bits, (args.samples, 1))
-    true_fit = np.full(args.samples, leading_ones(bits), dtype=np.int64)
+    tiled = np.tile(bits, (samples, 1))
+    true_fit = np.full(samples, leading_ones(bits), dtype=np.int64)
     scores = noisy_leading_ones_batch(tiled, true_fit, noise, rng)
     mean = float(scores.mean())
-    se = float(scores.std(ddof=1)) / math.sqrt(args.samples)
+    se = float(scores.std(ddof=1)) / math.sqrt(samples)
     passed = abs(mean - exact) <= 3.0 * se if se > 0 else mean == exact
     return {
         "check": "noise-expectation",
         "n": n,
         "p": args.p,
-        "samples": args.samples,
+        "samples": samples,
         "exact": exact,
         "monte_carlo_mean": mean,
         "standard_error": se,
         "abs_error": abs(mean - exact),
         "passed": passed,
+    }
+
+
+def _oracle_transition(args: argparse.Namespace) -> dict:
+    n = args.n if args.n is not None else 3
+    samples = args.samples if args.samples is not None else 20_000
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    oracle.transition_outcomes(n, args.lam, args.p)  # reject infeasible sizes before allocating
+    marginals = np.linspace(1.0 - 1.0 / n, 1.0 / n, n)
+    exact = oracle.exact_transition(marginals, args.lam, args.mu, args.p)
+    model = ProbabilityVector(marginals=marginals, n=n)
+    engines = {}
+    for engine in ENGINES:
+        config = UmdaConfig(n=n, lam=args.lam, mu=args.mu, noise=NoiseConfig(args.p), engine=engine)
+        rng = np.random.default_rng(args.seed)
+        comparison = oracle.check_transition(lambda: step(model, config, rng).ones_counts, exact, samples)
+        engines[engine] = {
+            "tv_distance": comparison.tv_distance,
+            "chi_square": comparison.chi_square,
+            "chi_square_critical": comparison.chi_square_critical,
+            "passed": comparison.passed,
+        }
+    return {
+        "check": "transition",
+        "n": n,
+        "lambda": args.lam,
+        "mu": args.mu,
+        "p": args.p,
+        "marginals": marginals.tolist(),
+        "outcomes": len(exact.support),
+        "samples": samples,
+        "tv_threshold": oracle.transition_tv_threshold(exact, samples),
+        "engines": engines,
+        "max_tv_distance": max(report["tv_distance"] for report in engines.values()),
+        "passed": all(report["passed"] for report in engines.values()),
     }
 
 
@@ -221,6 +263,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "maxlo": _oracle_maxlo,
         "tailmarginal": _oracle_tailmarginal,
         "noise-expectation": _oracle_noise_expectation,
+        "transition": _oracle_transition,
     }[args.check]
     report = handler(args)
     print(json.dumps(report))

@@ -1,10 +1,33 @@
-"""The sample / sort / select / update loop with margin-clamped model updates.
+"""The sample / score / select / update loop, on bits or on leading-ones levels.
 
-One run owns one random stream.  Per iteration the stream is consumed in a
-fixed order: the (lambda, n) uniform sampling block row-major, then (only
-when noise is active) one noise coin per individual followed by one flip
-index per noisy individual.  This makes every run bit-reproducible from its
-seed, on either kernel backend.
+Two engines share one loop: budget, success check, trace recording and
+marginal snapshots.  Only the sample/score step and the ones-count step
+differ.
+
+``bits`` draws every bit of every individual.  Per iteration its stream is
+consumed in a fixed order: the (lambda, n) uniform sampling block
+row-major, then (only when noise is active) one noise coin per individual
+followed by one flip index per noisy individual.  It is the literal
+reference: at a fixed seed its CSV bytes do not change.
+
+``levels`` (the default) draws only what selection can see.  LeadingOnes
+reads an individual up to its first zero, and every later bit is an
+independent Bernoulli(p_j) draw that no score depends on.  So each
+individual is sampled as its leading-ones value, by inverse CDF on the
+prefix products of the marginals; a noise flip of the first zero reveals
+the ones run after it, sampled the same way.  After selection the parents'
+ones count at position j is the number with more than j leading ones, plus
+the revealed ones at j, plus a binomial over the parents whose bit j was
+never looked at.  This gives the same law of the model sequence, at
+O(n + lambda log n) per iteration instead of O(lambda n);
+``oracle.exact_transition`` checks one full step of both engines.  Stream
+order per iteration: lambda uniforms for the leading-ones values, then
+(noise only) lambda coins, one flip index per noisy individual and one
+uniform per individual whose flip hit its first zero, then one binomial
+per position.
+
+Each run owns one random stream, so every run is bit-reproducible from its
+seed and engine.
 """
 
 from __future__ import annotations
@@ -19,6 +42,8 @@ from .model import Population, ProbabilityVector, clamp_vector, init_model, samp
 from .objectives import EvaluationCounter, NoiseConfig, evaluate_population
 from . import kernels
 
+ENGINES = ("levels", "bits")
+
 
 @dataclass(frozen=True)
 class UmdaConfig:
@@ -29,7 +54,9 @@ class UmdaConfig:
     up to ``dense_until`` iterations, then thinned to every ``thin_every``-th
     iteration (the final iteration is always recorded).
     ``track_marginals_from`` records a per-iteration snapshot of the model
-    marginals from that 0-based position onward.
+    marginals from that 0-based position onward.  ``engine`` selects the
+    level-count engine (``"levels"``) or the bit-level reference
+    (``"bits"``); see the module docstring.
     """
 
     n: int
@@ -43,8 +70,11 @@ class UmdaConfig:
     thin_every: int = 100
     track_marginals_from: Optional[int] = None
     record_level_counts: bool = False
+    engine: str = "levels"
 
     def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; choose from {', '.join(ENGINES)}")
         if self.n < 2:
             raise ValueError(f"problem size must be at least 2, got {self.n}")
         if not 1 <= self.mu < self.lam:
@@ -73,12 +103,38 @@ class SortedPopulation:
     order: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.fitness_noisy) > 0):
-            raise ValueError("sorted population must have non-increasing fitness")
+        _require_non_increasing(self.fitness_noisy)
 
     @property
     def size(self) -> int:
         return self.members.shape[0]
+
+
+def _require_non_increasing(fitness: np.ndarray) -> None:
+    if (fitness[1:] > fitness[:-1]).any():
+        raise ValueError("sorted population must have non-increasing fitness")
+
+
+@dataclass(frozen=True)
+class LevelPopulation:
+    """Individuals of the level engine, known only as far as scoring looked.
+
+    Individual i has ``fitness_true[i]`` leading ones followed by a zero
+    (unless it is the optimum).  Its later bits were never drawn, except
+    when noise flipped that first zero: then the ones run after it was
+    revealed, so positions ``fitness_true[i] + 1 .. reveal_end[i] - 1`` are
+    ones and position ``reveal_end[i]``, when below n, is a zero.
+    Otherwise ``reveal_end[i] == fitness_true[i]``.
+    """
+
+    n: int
+    fitness_true: np.ndarray
+    fitness_noisy: np.ndarray
+    reveal_end: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.fitness_true.shape[0]
 
 
 @dataclass(frozen=True)
@@ -193,9 +249,86 @@ def update_model(selected: Population, mu: int, n: int) -> ModelUpdate:
     """Set each marginal to the parents' ones frequency, clamped to the borders."""
     if selected.size != mu:
         raise ValueError(f"expected exactly {mu} selected individuals, got {selected.size}")
-    ones = kernels.column_ones_counts(selected.members, np.arange(mu))
+    return _model_update(kernels.column_ones_counts(selected.members, np.arange(mu)), mu, n)
+
+
+def _model_update(ones: np.ndarray, mu: int, n: int) -> ModelUpdate:
     marginals = clamp_vector(ones / mu, n)
     return ModelUpdate(ones_counts=ones, new_model=ProbabilityVector(marginals=marginals, n=n))
+
+
+def sample_levels(
+    model: ProbabilityVector,
+    size: int,
+    noise: NoiseConfig,
+    rng: np.random.Generator,
+    counter: EvaluationCounter | None = None,
+) -> LevelPopulation:
+    """Draw ``size`` leading-ones values and score them, one evaluation each.
+
+    P(LO > k) = p_0 * ... * p_k, so an individual's leading-ones value is
+    the number of these prefix products above one uniform.  Noise uses the
+    bit engine's coin and flip index draws.  A flip below LO scores the flip
+    index, a flip above LO scores LO, and a flip of the first zero scores
+    LO + 1 + the ones run after it, drawn by the same inverse CDF given the
+    prefix through LO.
+    """
+    survival = np.cumprod(model.marginals)  # survival[k] = P(LO > k)
+    descending = -survival
+    lo = np.searchsorted(descending, -rng.random(size))
+    noisy, reveal_end = lo, lo
+    if noise.active:
+        coins = rng.random(size)
+        rows = np.nonzero(coins < noise.p)[0]
+        if rows.size:
+            noisy, reveal_end = lo.copy(), lo.copy()
+            flips = rng.integers(0, model.n, size=rows.size)
+            row_lo = lo[rows]
+            below = flips < row_lo
+            noisy[rows[below]] = flips[below]
+            hit = rows[flips == row_lo]
+            if hit.size:
+                # P(run after position LO >= r) = survival[LO + r] / survival[LO]
+                ends = np.searchsorted(descending, -rng.random(hit.size) * survival[lo[hit]])
+                reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
+                noisy[hit] = reveal_end[hit]
+    if counter is not None:
+        counter.add(size)
+    return LevelPopulation(n=model.n, fitness_true=lo, fitness_noisy=noisy, reveal_end=reveal_end)
+
+
+def select_levels(pop: LevelPopulation, mu: int) -> np.ndarray:
+    """Indices of the mu fittest by noisy fitness; ties keep sampling order."""
+    order = np.argsort(-pop.fitness_noisy, kind="stable")
+    _require_non_increasing(pop.fitness_noisy[order])
+    return order[:mu]
+
+
+def update_levels(
+    pop: LevelPopulation, parents: np.ndarray, model: ProbabilityVector, rng: np.random.Generator
+) -> ModelUpdate:
+    """Parents' ones counts from what was seen, plus binomials for what was not.
+
+    At position j: every parent with more than j leading ones has a one, a
+    parent with exactly j has a zero, and a parent with fewer has a
+    revealed bit or an unseen Bernoulli(p_j) one.
+    """
+    n, mu = model.n, parents.shape[0]
+    lo = pop.fitness_true[parents]
+    end = pop.reveal_end[parents]
+    per_level = np.bincount(lo, minlength=n + 1)
+    at_most = np.cumsum(per_level)  # at_most[j] = #(LO <= j)
+    ones = mu - at_most[:n]
+    unseen = at_most[:n] - per_level[:n]  # #(LO < j), less the revealed bits below
+    shown = end > lo
+    if shown.any():
+        start, stop = lo[shown] + 1, end[shown]
+        ones_seen = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(stop, minlength=n + 1))[:n]
+        ones += ones_seen
+        unseen -= ones_seen + np.bincount(stop[stop < n], minlength=n)
+    first = lo.min() + 1  # no parent has an unseen bit at or before its lowest LO
+    ones[first:] += rng.binomial(unseen[first:], model.marginals[first:])
+    return _model_update(ones, mu, n)
 
 
 def run(config: UmdaConfig) -> RunResult:
@@ -212,8 +345,7 @@ def run(config: UmdaConfig) -> RunResult:
     iterations = 0
     success = False
     while counter.evals < config.max_evals:
-        pop = sample_population(model, config.lam, rng)
-        pop = evaluate_population(pop, config.noise, rng, counter)
+        pop = _sample(model, config, rng, counter)
         stats = iteration_stats(pop, config.mu, iterations)
         iterations += 1
         success = stats.best_true == config.n
@@ -222,11 +354,27 @@ def run(config: UmdaConfig) -> RunResult:
             recorder.observe(stats, model, counter.evals, final)
         if final:
             break
-        parents = select_parents(sort_by_fitness(pop), config.mu)
-        model = update_model(parents, config.mu, config.n).new_model
+        model = _update(pop, model, config, rng).new_model
     return RunResult(
         success=success,
         evals=counter.evals,
         iterations=iterations,
         trace=recorder.build() if recorder is not None else None,
     )
+
+
+def step(model: ProbabilityVector, config: UmdaConfig, rng: np.random.Generator) -> ModelUpdate:
+    """One sample, score, select and update step of ``config.engine`` from ``model``."""
+    return _update(_sample(model, config, rng, None), model, config, rng)
+
+
+def _sample(model, config: UmdaConfig, rng, counter):
+    if config.engine == "bits":
+        return evaluate_population(sample_population(model, config.lam, rng), config.noise, rng, counter)
+    return sample_levels(model, config.lam, config.noise, rng, counter)
+
+
+def _update(pop, model, config: UmdaConfig, rng) -> ModelUpdate:
+    if config.engine == "bits":
+        return update_model(select_parents(sort_by_fitness(pop), config.mu), config.mu, config.n)
+    return update_levels(pop, select_levels(pop, config.mu), model, rng)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._version import VERSION
-from .engine import RunResult, Trace, UmdaConfig, run
+from .engine import ENGINES, RunResult, Trace, UmdaConfig, run
 from .instrumentation import ThresholdParams, TraceSummary, low_pressure_condition, summarize_trace, thresholds
 from .objectives import NoiseConfig
 from .reporting import RUNTIME_HEADER, TRACE_HEADER, write_csv, write_json
@@ -92,10 +92,13 @@ class ExperimentConfig:
     delta: Optional[float] = None
     epsilon: Optional[float] = None
     out_dir: Optional[str] = None
+    engine: str = "levels"
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError("scenario", f"unknown scenario {self.scenario!r}")
+        if self.engine not in ENGINES:
+            raise ConfigError("engine", f"unknown engine {self.engine!r}; choose from {', '.join(ENGINES)}")
         if not self.n_values:
             raise ConfigError("n_values", "must be non-empty")
         if any(n < 2 for n in self.n_values):
@@ -133,6 +136,7 @@ class ExperimentConfig:
             "delta": self.delta,
             "epsilon": self.epsilon,
             "out_dir": self.out_dir,
+            "engine": self.engine,
         }
 
 
@@ -147,6 +151,7 @@ _FIELD_TYPES = {
     "delta": (int, float),
     "epsilon": (int, float),
     "out_dir": str,
+    "engine": str,
 }
 
 
@@ -416,6 +421,7 @@ def _execute(
             seed=derive_run_seed(config.master_seed, n, rep),
             record_trace=record_trace,
             track_marginals_from=params.tail_start if record_trace else None,
+            engine=config.engine,
         )
         return n, rep, run(run_config)
 

@@ -84,34 +84,39 @@ def level_counts_from_fitness(fitness: np.ndarray, n: int) -> tuple[np.ndarray, 
     per_value = np.bincount(fitness, minlength=n + 1)
     at_least = np.cumsum(per_value[::-1])[::-1]  # at_least[v] = #{fitness >= v}
     c = at_least[1:]
-    d = np.concatenate(([per_value.sum()], c[:-1])) - c
-    return c.astype(np.int64), d.astype(np.int64)
+    d = at_least[:-1] - c
+    return c.astype(np.int64, copy=False), d.astype(np.int64, copy=False)
 
 
 def z_values(c: np.ndarray, mu: int) -> tuple[int, int]:
-    """Deepest level still holding at least mu members, and deepest non-empty level."""
-    hit_mu = np.nonzero(c >= mu)[0]
-    hit_any = np.nonzero(c > 0)[0]
-    z_mu = int(hit_mu[-1]) + 1 if hit_mu.size else 0
-    z_star = int(hit_any[-1]) + 1 if hit_any.size else 0
-    return z_mu, z_star
+    """Deepest level still holding at least mu members, and deepest non-empty level.
+
+    ``c`` is a C vector, so it is non-increasing and both depths are counts.
+    """
+    return int(np.count_nonzero(c >= mu)), int(np.count_nonzero(c))
 
 
 def noisy_misrank_count(pop: Population, j: int) -> int:
     """Individuals whose noisy score reaches level j while their true score does not."""
     if pop.fitness_true is None or pop.fitness_noisy is None:
         raise ValueError("both fitness fields must be evaluated")
+    if pop.fitness_noisy is pop.fitness_true:  # no noise drawn
+        return 0
     return int(np.count_nonzero((pop.fitness_true < j) & (pop.fitness_noisy >= j)))
 
 
 def iteration_stats(pop: Population, mu: int, t: int) -> IterationStats:
-    """Compute the full per-iteration snapshot and check the counting identity."""
+    """Compute the full per-iteration snapshot and check the counting identity.
+
+    Only the fitness arrays, ``n`` and ``size`` of ``pop`` are read, so the
+    level engine's ``LevelPopulation`` is scored the same way as a
+    bit-level ``Population``.
+    """
     c, d = level_counts(pop)
     z_mu, z_star = z_values(c, mu)
-    size = pop.size
     # counting identity: C[i-1] = C[i] + D[i], anchored at C[0] = population size
-    previous = np.concatenate(([size], c[:-1]))
-    if not np.array_equal(previous, c + d):
+    previous = np.concatenate(([pop.size], c[:-1]))
+    if (previous != c + d).any():
         raise AssertionError("level counting identity violated")
     misranked = noisy_misrank_count(pop, z_mu + 1)
     return IterationStats(

@@ -29,7 +29,7 @@ class ProbabilityVector:
         if marginals.ndim != 1 or marginals.shape[0] != self.n:
             raise ValueError(f"expected {self.n} marginals, got shape {marginals.shape}")
         lo, hi = 1.0 / self.n, 1.0 - 1.0 / self.n
-        if not np.all((marginals >= lo) & (marginals <= hi)):
+        if not (marginals.min() >= lo and marginals.max() <= hi):
             raise ValueError(f"marginals outside borders [{lo}, {hi}]")
         marginals = marginals.copy()
         marginals.flags.writeable = False
@@ -89,9 +89,9 @@ def clamp_to_margins(value: float, n: int) -> float:
 def clamp_vector(values: np.ndarray, n: int) -> np.ndarray:
     """Vectorized border clamp for a full marginal vector."""
     values = np.asarray(values, dtype=np.float64)
-    if np.any(values < 0.0) or np.any(values > 1.0):
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError("values outside [0, 1]")
-    return np.clip(values, 1.0 / n, 1.0 - 1.0 / n)
+    return np.minimum(np.maximum(values, 1.0 / n), 1.0 - 1.0 / n)
 
 
 def sample_individual(model: ProbabilityVector, rng: np.random.Generator) -> Bitstring:

@@ -3,7 +3,9 @@
 Two independent routes to the law of the per-level counts are provided: the
 conditional-binomial chain and literal enumeration of every possible
 population.  They must agree to within floating-point accumulation error,
-which is what the chain check asserts.  All routines here are deliberately
+which is what the chain check asserts.  ``exact_transition`` enumerates one
+full sample, score, select and update step, noise included, which both
+engines are checked against.  All routines here are deliberately
 brute-force and size-capped; they are correctness anchors, not fast paths.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -23,6 +25,8 @@ from .instrumentation import ThresholdParams
 CHAIN_MAX_POPULATION = 8
 CHAIN_MAX_N = 6
 ENUMERATION_MAX_BITS = 16
+TRANSITION_MAX_OUTCOMES = 2**20
+_TRANSITION_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,61 @@ def enumerate_level_distribution(marginals: Sequence[float], size: int) -> Exact
     return ExactDistribution(support=tuple(support), probabilities=np.array([law[s] for s in support]))
 
 
+def transition_outcomes(n: int, lam: int, noise_p: float) -> int:
+    """Joint outcomes ``exact_transition`` enumerates; raises when infeasible."""
+    if not 0.0 <= noise_p < 1.0:
+        raise ValueError(f"flip probability must be in [0, 1), got {noise_p}")
+    if n < 1 or lam < 1 or n * lam > ENUMERATION_MAX_BITS:
+        raise ValueError(f"infeasible transition enumeration: n*lambda={n * lam} bits (cap {ENUMERATION_MAX_BITS})")
+    outcomes = (2**n * (n + 1 if noise_p > 0.0 else 1)) ** lam
+    if outcomes > TRANSITION_MAX_OUTCOMES:
+        raise ValueError(f"infeasible transition enumeration: {outcomes} outcomes (cap {TRANSITION_MAX_OUTCOMES})")
+    return outcomes
+
+
+def exact_transition(marginals: Sequence[float], lam: int, mu: int, noise_p: float = 0.0) -> ExactDistribution:
+    """Law of the parents' ones-count vector after one step from ``marginals``.
+
+    Enumerates every population of ``lam`` individuals together with every
+    noise outcome of each individual: no flip with probability 1 - p, else a
+    flip of position k with probability p / n.  Each outcome is scored,
+    ranked stably by noisy score (ties keep sampling order), and the bits of
+    its first ``mu`` individuals are summed per position.  Sizes are capped
+    (n * lam <= 16 bits and at most 2**20 joint outcomes) and checked before
+    anything is allocated.
+    """
+    marginals = np.asarray(marginals, dtype=np.float64)
+    n = marginals.shape[0]
+    if not 1 <= mu < lam:
+        raise ValueError(f"need 1 <= mu < lambda, got mu={mu}, lambda={lam}")
+    outcomes = transition_outcomes(n, lam, noise_p)
+    options = n + 1 if noise_p > 0.0 else 1  # no flip, then a flip of each position
+    per_individual = 2**n * options
+    bits = _all_bit_matrices(n)
+    seen = np.repeat(bits[:, None, :], options, axis=1)  # (2**n, options, n)
+    for k in range(options - 1):
+        seen[:, k + 1, k] ^= 1
+    scores = kernels.leading_ones_rows(seen.reshape(-1, n))
+    noise_weights = np.array([1.0 - noise_p] + [noise_p / n] * (options - 1))
+    weights = (np.where(bits == 1, marginals, 1.0 - marginals).prod(axis=1)[:, None] * noise_weights).ravel()
+    outcome_bits = np.repeat(bits.astype(np.int64), options, axis=0)
+    radix = mu + 1
+    places = radix ** np.arange(n - 1, -1, -1)
+    law = np.zeros(radix**n)
+    for start in range(0, outcomes, _TRANSITION_CHUNK):
+        codes = np.arange(start, min(start + _TRANSITION_CHUNK, outcomes))
+        members = np.stack(np.unravel_index(codes, (per_individual,) * lam), axis=1)
+        order = np.argsort(-scores[members], axis=1, kind="stable")[:, :mu]
+        parents = np.take_along_axis(members, order, axis=1)
+        ones = outcome_bits[parents].sum(axis=1)
+        law += np.bincount(ones @ places, weights=weights[members].prod(axis=1), minlength=radix**n)
+    support = np.nonzero(law)[0]
+    return ExactDistribution(
+        support=tuple(zip(*(values.tolist() for values in np.unravel_index(support, (radix,) * n)))),
+        probabilities=law[support],
+    )
+
+
 def exact_product_distribution(marginals: Sequence[float]) -> ExactDistribution:
     """Law of a single individual over all 2**n bitstrings."""
     marginals = np.asarray(marginals, dtype=np.float64)
@@ -216,6 +275,28 @@ def empirical_vs_exact(
         n_samples=float(total),
         passed=passed,
     )
+
+
+def transition_tv_threshold(exact: ExactDistribution, samples: int) -> float:
+    """TV bound for ``check_transition``: sqrt(K / samples) over K outcomes.
+
+    The expected TV distance of an exact sampler is at most sqrt(K / (2 pi
+    samples)), so the bound sits about 2.5 times above it.
+    """
+    return math.sqrt(len(exact.support) / samples)
+
+
+def check_transition(step: Callable[[], np.ndarray], exact: ExactDistribution, samples: int) -> ComparisonReport:
+    """Compare the ones-count vectors of ``samples`` calls of ``step`` with ``exact``.
+
+    Passes iff the TV distance stays within ``transition_tv_threshold`` and
+    the chi-square test passes at significance 0.001.
+    """
+    counts: dict[tuple, int] = {}
+    for _ in range(samples):
+        outcome = tuple(step().tolist())
+        counts[outcome] = counts.get(outcome, 0) + 1
+    return empirical_vs_exact(counts, exact, transition_tv_threshold(exact, samples))
 
 
 def tail_marginal_frequency_test(

@@ -173,3 +173,42 @@ def test_oracle_tailmarginal(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert 0.45 <= report["mean"] <= 0.55
+
+
+@pytest.mark.parametrize("noise_p", ["0", "0.3"])
+def test_oracle_transition_passes_for_both_engines(capsys, noise_p):
+    code, out, _ = _run_cli(capsys, "oracle", "transition", "--p", noise_p, "--samples", "4000", "--seed", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert set(report["engines"]) == {"levels", "bits"}
+    assert all(engine["passed"] for engine in report["engines"].values())
+    assert report["outcomes"] == 27
+
+
+def test_oracle_transition_rejects_infeasible_before_allocating(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, err = _run_cli(capsys, "oracle", "transition", "--n", "1000000", "--lambda", "10")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "infeasible" in err
+    assert peak < 1_000_000  # the 1e6-entry model alone would take 8 MB
+
+
+def test_run_engine_flag(tmp_path, capsys):
+    outputs = {}
+    for engine in ("levels", "bits"):
+        code, out, _ = _run_cli(capsys, "run", "--n", "12", "--lambda", "8", "--mu", "4", "--seed", "9",
+                                "--engine", engine, "--trace", "--out-dir", str(tmp_path / engine))
+        assert code == 0 and "success=1" in out
+        outputs[engine] = (tmp_path / engine / "trace.csv").read_bytes()
+    assert outputs["levels"] != outputs["bits"]
+    code, _, _ = _run_cli(capsys, "run", "--n", "12", "--lambda", "8", "--mu", "4", "--seed", "9",
+                          "--trace", "--out-dir", str(tmp_path / "default"))
+    assert code == 0
+    assert (tmp_path / "default" / "trace.csv").read_bytes() == outputs["levels"]

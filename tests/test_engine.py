@@ -1,10 +1,13 @@
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umda_lab import NoiseConfig, UmdaConfig, run, select_parents, sort_by_fitness, update_model
-from umda_lab.model import Population
+from umda_lab.engine import ENGINES, LevelPopulation, select_levels, update_levels
+from umda_lab.model import Population, init_model
 
 
 def _pop(fitnesses, n=3):
@@ -90,52 +93,67 @@ def test_update_model_always_lands_in_borders(n, mu, seed):
     assert np.all(update.new_model.marginals <= 1.0 - 1.0 / n)
 
 
+# The run-level tests below loop over both engines: every behaviour they
+# check is part of the contract of each engine.
+
+
 def test_tiny_problem_is_solved_in_nearly_all_seeded_runs():
     # sampling the all-ones pair from the uniform model succeeds with
     # probability 1 - (3/4)**10 ~ 0.944 in the very first population
-    wins = sum(
-        run(UmdaConfig(n=2, lam=10, mu=5, max_evals=400, seed=seed)).success for seed in range(100)
-    )
-    assert wins >= 99
+    for engine in ENGINES:
+        wins = sum(
+            run(UmdaConfig(n=2, lam=10, mu=5, max_evals=400, seed=seed, engine=engine)).success
+            for seed in range(100)
+        )
+        assert wins >= 99, engine
 
 
 def test_budget_of_one_population():
-    result = run(UmdaConfig(n=40, lam=2, mu=1, max_evals=2, seed=3))
-    assert not result.success
-    assert result.iterations == 1
-    assert result.evals == 2
+    for engine in ENGINES:
+        result = run(UmdaConfig(n=40, lam=2, mu=1, max_evals=2, seed=3, engine=engine))
+        assert not result.success
+        assert result.iterations == 1
+        assert result.evals == 2
 
 
 def test_evals_equal_lambda_times_iterations():
-    for seed in range(5):
-        result = run(UmdaConfig(n=15, lam=12, mu=3, seed=seed))
-        assert result.evals == 12 * result.iterations
+    for engine in ENGINES:
+        for seed in range(5):
+            result = run(UmdaConfig(n=15, lam=12, mu=3, seed=seed, engine=engine))
+            assert result.evals == 12 * result.iterations
 
 
 def test_run_is_deterministic_including_trace():
-    config = UmdaConfig(n=25, lam=30, mu=6, seed=123, noise=NoiseConfig(0.2))
-    a, b = run(config), run(config)
-    assert a.success == b.success and a.evals == b.evals and a.iterations == b.iterations
-    np.testing.assert_array_equal(a.trace.z_mu, b.trace.z_mu)
-    np.testing.assert_array_equal(a.trace.misranked, b.trace.misranked)
+    for engine in ENGINES:
+        config = UmdaConfig(n=25, lam=30, mu=6, seed=123, noise=NoiseConfig(0.2), engine=engine)
+        a, b = run(config), run(config)
+        assert a.success == b.success and a.evals == b.evals and a.iterations == b.iterations
+        np.testing.assert_array_equal(a.trace.z_mu, b.trace.z_mu)
+        np.testing.assert_array_equal(a.trace.misranked, b.trace.misranked)
+
+
+def test_unknown_engine_rejected():
+    assert UmdaConfig(n=25, lam=30, mu=6).engine == "levels"
+    with pytest.raises(ValueError, match="unknown engine"):
+        UmdaConfig(n=25, lam=30, mu=6, engine="qubits")
 
 
 def test_backend_flag_does_not_change_results():
     import subprocess
     import sys
 
-    config = UmdaConfig(n=18, lam=16, mu=4, seed=5)
+    config = UmdaConfig(n=18, lam=16, mu=4, seed=5, engine="bits")
     result = run(config)
     code = (
         "from umda_lab import UmdaConfig, run\n"
-        "r = run(UmdaConfig(n=18, lam=16, mu=4, seed=5))\n"
+        "r = run(UmdaConfig(n=18, lam=16, mu=4, seed=5, engine='bits'))\n"
         "print(r.success, r.evals, r.iterations, r.trace.z_mu.tolist())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "UMDA_LAB_NUMBA": "0"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "UMDA_LAB_NUMBA": "0"},
         check=True,
     )
     want = f"{result.success} {result.evals} {result.iterations} {result.trace.z_mu.tolist()}"
@@ -143,45 +161,108 @@ def test_backend_flag_does_not_change_results():
 
 
 def test_success_recorded_in_final_trace_row():
-    result = run(UmdaConfig(n=8, lam=30, mu=6, seed=9))
-    assert result.success
-    assert result.trace.best_true[-1] == 8
+    for engine in ENGINES:
+        result = run(UmdaConfig(n=8, lam=30, mu=6, seed=9, engine=engine))
+        assert result.success
+        assert result.trace.best_true[-1] == 8
 
 
 def test_zero_noise_sorts_by_true_fitness():
-    result = run(UmdaConfig(n=12, lam=20, mu=5, seed=10, record_level_counts=True))
-    for stats in result.trace.stats:
-        assert stats.misranked == 0
+    for engine in ENGINES:
+        result = run(UmdaConfig(n=12, lam=20, mu=5, seed=10, record_level_counts=True, engine=engine))
+        for stats in result.trace.stats:
+            assert stats.misranked == 0
 
 
 def test_trace_thinning_keeps_final_iteration():
-    config = UmdaConfig(
-        n=30, lam=4, mu=2, max_evals=200, seed=17, dense_until=10, thin_every=7
-    )
-    result = run(config)
-    assert result.iterations == 50
-    recorded = result.trace.t.tolist()
-    assert recorded[:10] == list(range(10))
-    assert all(t % 7 == 0 for t in recorded[10:-1])
-    assert recorded[-1] == 49  # final iteration always recorded
+    for engine in ENGINES:
+        config = UmdaConfig(
+            n=30, lam=4, mu=2, max_evals=200, seed=17, dense_until=10, thin_every=7, engine=engine
+        )
+        result = run(config)
+        assert result.iterations == 50
+        recorded = result.trace.t.tolist()
+        assert recorded[:10] == list(range(10))
+        assert all(t % 7 == 0 for t in recorded[10:-1])
+        assert recorded[-1] == 49  # final iteration always recorded
 
 
 def test_marginal_snapshots_stay_in_borders():
-    config = UmdaConfig(n=12, lam=10, mu=5, max_evals=5000, seed=19, track_marginals_from=0)
-    result = run(config)
-    tails = result.trace.marginals_tail
-    assert tails.shape[1] == 12
-    assert np.all(tails >= 1.0 / 12) and np.all(tails <= 1.0 - 1.0 / 12)
-    assert np.all(tails[0] == 0.5)
+    for engine in ENGINES:
+        config = UmdaConfig(n=12, lam=10, mu=5, max_evals=5000, seed=19, track_marginals_from=0, engine=engine)
+        result = run(config)
+        tails = result.trace.marginals_tail
+        assert tails.shape[1] == 12
+        assert np.all(tails >= 1.0 / 12) and np.all(tails <= 1.0 - 1.0 / 12)
+        assert np.all(tails[0] == 0.5)
 
 
 def test_trace_depth_ordering_invariant():
-    result = run(UmdaConfig(n=20, lam=14, mu=7, seed=21, max_evals=7000))
-    assert np.all(result.trace.z_mu <= result.trace.z_star)
-    assert np.all(result.trace.z_star <= 20)
-    assert np.all(result.trace.z_star == result.trace.best_true)
+    for engine in ENGINES:
+        result = run(UmdaConfig(n=20, lam=14, mu=7, seed=21, max_evals=7000, engine=engine))
+        assert np.all(result.trace.z_mu <= result.trace.z_star)
+        assert np.all(result.trace.z_star <= 20)
+        assert np.all(result.trace.z_star == result.trace.best_true)
 
 
 def test_trace_evals_column_counts_lambda_per_iteration():
-    result = run(UmdaConfig(n=20, lam=14, mu=7, seed=22, max_evals=7000))
-    np.testing.assert_array_equal(result.trace.evals, 14 * (result.trace.t + 1))
+    for engine in ENGINES:
+        result = run(UmdaConfig(n=20, lam=14, mu=7, seed=22, max_evals=7000, engine=engine))
+        np.testing.assert_array_equal(result.trace.evals, 14 * (result.trace.t + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from([0.0, 0.4]),
+    st.integers(0, 10_000),
+)
+def test_level_engine_keeps_borders_and_counting_identity(n, mu, extra, noise_p, seed):
+    lam = mu + extra
+    config = UmdaConfig(
+        n=n, lam=lam, mu=mu, noise=NoiseConfig(noise_p), seed=seed, max_evals=60 * lam,
+        track_marginals_from=0, record_level_counts=True, engine="levels",
+    )
+    result = run(config)
+    tails = result.trace.marginals_tail
+    assert np.all(tails >= 1.0 / n) and np.all(tails <= 1.0 - 1.0 / n)
+    for stats in result.trace.stats:
+        c, d = stats.levels_at_least, stats.levels_exact  # truncated to the z_star non-empty levels
+        assert c.shape == d.shape == (stats.z_star,)
+        np.testing.assert_array_equal(np.concatenate(([lam], c))[:-1], c + d)
+
+
+def _levels(noisy, true=None, reveal_end=None, n=6):
+    noisy = np.array(noisy, dtype=np.int64)
+    true = noisy if true is None else np.array(true, dtype=np.int64)
+    reveal_end = true if reveal_end is None else np.array(reveal_end, dtype=np.int64)
+    return LevelPopulation(n=n, fitness_true=true, fitness_noisy=noisy, reveal_end=reveal_end)
+
+
+def test_select_levels_is_stable_top_mu():
+    assert select_levels(_levels([2, 5, 5, 0]), 2).tolist() == [1, 2]
+    assert select_levels(_levels([3, 3, 3, 0]), 2).tolist() == [0, 1]
+    assert select_levels(_levels([7, 4, 2, 1]), 3).tolist() == [0, 1, 2]
+
+
+class _RecordingRng:
+    """Stands in for the generator: records the binomial trials and draws no ones."""
+
+    def binomial(self, trials, p):
+        self.trials = np.asarray(trials).copy()
+        return np.zeros_like(trials)
+
+
+def test_update_levels_counts_seen_and_unseen_bits():
+    # parent 0: 3 leading ones, then a zero at 3, rest unseen
+    # parent 1: 0 leading ones; noise flipped position 0 and revealed ones
+    #           at 1 and 2 and a zero at 3, rest unseen
+    pop = _levels(noisy=[3, 3], true=[3, 0], reveal_end=[3, 3], n=6)
+    rng = _RecordingRng()
+    update = update_levels(pop, np.array([0, 1]), init_model(6), rng)
+    assert update.ones_counts.tolist() == [1, 2, 2, 0, 0, 0]
+    # unseen bits from position 1 on (past the lowest parent's first zero)
+    assert rng.trials.tolist() == [0, 0, 0, 2, 2]
+    assert update.new_model.marginals[1] == pytest.approx(1.0 - 1.0 / 6)

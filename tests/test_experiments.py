@@ -40,6 +40,28 @@ def test_config_roundtrip_through_json_dict():
     assert parse_config(config.to_dict()) == config
 
 
+def test_engine_field_defaults_to_levels_and_is_validated():
+    config = _config()
+    assert config.engine == "levels"
+    assert config.to_dict()["engine"] == "levels"
+    assert parse_config({**config.to_dict(), "engine": "bits"}).engine == "bits"
+    with pytest.raises(ConfigError) as exc:
+        parse_config({**config.to_dict(), "engine": "qubits"})
+    assert exc.value.path == "engine"
+
+
+def test_manifest_records_engine_and_replays_it():
+    depths = {}
+    for engine in ("levels", "bits"):
+        result = run_high_pressure(_config(scenario="high_pressure", gamma0=0.1, engine=engine))
+        assert result.manifest["config"]["engine"] == engine
+        replay = run_high_pressure(parse_config(result.manifest["config"]))
+        assert replay.rows == result.rows
+        np.testing.assert_array_equal(replay.traces[0].z_mu, result.traces[0].z_mu)
+        depths[engine] = result.traces[0].z_mu.tolist()
+    assert depths["levels"] != depths["bits"]
+
+
 def test_unknown_field_reports_path():
     with pytest.raises(ConfigError) as exc:
         parse_config({"scenario": "low_pressure", "n_values": [10], "replications": 1,

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -68,7 +69,7 @@ def test_env_flag_selects_numpy_backend():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "UMDA_LAB_NUMBA": "0"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "UMDA_LAB_NUMBA": "0"},
         check=True,
     )
     assert out.stdout.strip() == "numpy"

@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from umda_lab import UmdaConfig, run
+from umda_lab import NoiseConfig, ProbabilityVector, UmdaConfig, run
+from umda_lab.engine import ENGINES, step
 from umda_lab.instrumentation import thresholds
 from umda_lab.oracle import (
     ExactDistribution,
     brute_force_expected_max_leading_ones,
+    check_transition,
     empirical_vs_exact,
     enumerate_level_distribution,
     exact_expected_max_leading_ones,
     exact_level_chain,
     exact_product_distribution,
+    exact_transition,
     tail_marginal_frequency_test,
     total_variation,
 )
@@ -138,6 +141,72 @@ def test_empirical_vs_exact_rejects_unknown_outcomes():
     exact = ExactDistribution(support=((0,), (1,)), probabilities=np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         empirical_vs_exact({(2,): 10}, exact, tv_threshold=0.1)
+
+
+def test_exact_transition_hand_computed():
+    # n=2, lambda=2, mu=1, uniform model: the parent is the better of two
+    # individuals, the first one on a tie.  Its LO is 2 w.p. 1 - (3/4)**2,
+    # 1 w.p. (3/4)**2 - (1/2)**2, and 0 w.p. 1/4 with a fair second bit.
+    dist = exact_transition([0.5, 0.5], lam=2, mu=1).as_dict()
+    assert set(dist) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert dist[(1, 1)] == pytest.approx(7 / 16, abs=1e-15)
+    assert dist[(1, 0)] == pytest.approx(5 / 16, abs=1e-15)
+    assert dist[(0, 0)] == pytest.approx(1 / 8, abs=1e-15)
+    assert dist[(0, 1)] == pytest.approx(1 / 8, abs=1e-15)
+
+
+def test_exact_transition_noise_changes_the_law():
+    marginals = [2 / 3, 0.5, 1 / 3]
+    clean = exact_transition(marginals, lam=3, mu=1)
+    noisy = exact_transition(marginals, lam=3, mu=1, noise_p=0.5)
+    assert abs(noisy.probabilities.sum() - 1.0) < 1e-12
+    assert total_variation(clean, noisy) > 0.01
+    assert exact_transition(marginals, lam=3, mu=1, noise_p=0.0).as_dict() == clean.as_dict()
+
+
+def test_exact_transition_rejects_infeasible_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="infeasible"):
+            exact_transition([0.5] * 20, lam=10, mu=2)  # 200 bits
+        with pytest.raises(ValueError, match="infeasible"):
+            exact_transition([0.5] * 3, lam=5, mu=2, noise_p=0.1)  # 15 bits, but 32**5 outcomes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(ValueError):
+        exact_transition([0.5] * 3, lam=4, mu=4)
+
+
+def _transition_step(marginals, noise_p, engine, seed, shift=0.0):
+    n = len(marginals)
+    sampled = np.clip(np.asarray(marginals) + shift, 1.0 / n, 1.0 - 1.0 / n)
+    model = ProbabilityVector(marginals=sampled, n=n)
+    config = UmdaConfig(n=n, lam=4, mu=2, noise=NoiseConfig(noise_p), engine=engine)
+    rng = np.random.default_rng(seed)
+    return lambda: step(model, config, rng).ones_counts
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("noise_p", [0.0, 0.3])
+def test_both_engines_match_exact_transition(engine, noise_p):
+    marginals = [2 / 3, 0.5, 1 / 3]
+    exact = exact_transition(marginals, lam=4, mu=2, noise_p=noise_p)
+    report = check_transition(_transition_step(marginals, noise_p, engine, seed=5), exact, 8000)
+    assert report.passed, report
+
+
+def test_transition_check_fails_on_biased_sampler():
+    # the sampler draws from a model shifted by 0.05 per position
+    marginals = [2 / 3, 0.5, 1 / 3]
+    exact = exact_transition(marginals, lam=4, mu=2, noise_p=0.3)
+    biased = _transition_step(marginals, 0.3, "levels", seed=42, shift=0.05)
+    report = check_transition(biased, exact, 20_000)
+    assert not report.passed
+    assert report.chi_square > report.chi_square_critical
 
 
 def _single_iteration_trace(n=30, track_from=10):
