@@ -54,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a scenario from a JSON config (or a manifest)")
     p_exp.add_argument("config", type=Path, help="path to the experiment config JSON")
     p_exp.add_argument("--out-dir", type=Path, default=None, help="override the config output directory")
-    p_exp.add_argument("--jobs", type=int, default=1, help="worker threads for replications")
+    p_exp.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for replications, each with its own copy of the model "
+                            "(capped at the replication and CPU counts); results do not depend on it")
 
     p_oracle = sub.add_parser("oracle", help="run an exact-reference check")
     p_oracle.add_argument("check", choices=("chain", "maxlo", "tailmarginal", "noise-expectation", "transition"))
@@ -116,7 +118,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if out_dir is None:
         print("error: out_dir: set it in the config or pass --out-dir", file=sys.stderr)
         return 2
-    result = run_experiment(config, jobs=max(1, args.jobs))
+    result = run_experiment(config, jobs=args.jobs)
     paths = write_bundle(result, out_dir)
     successes = sum(1 for row in result.rows if row.success)
     print(f"scenario={config.scenario} runs={len(result.rows)} successes={successes}")

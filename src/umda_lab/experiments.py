@@ -5,13 +5,25 @@ depth thresholds, budgets, per-replication seeds) before any run starts and
 records it in a manifest, so each result row is re-derivable from the
 manifest alone.  Replications use independent substreams derived from the
 master seed by a platform-stable counter mix.
+
+With ``jobs > 1`` the replications run in worker processes, at most one per
+replication and per CPU.  The engine's per-iteration work is many small
+numpy calls that hold the interpreter lock, so threads would take turns
+rather than run side by side.  Each worker holds its own copy of the model
+and draws from the run's own stream, so results do not depend on ``jobs``.
+A worker receives one ``UmdaConfig`` and runs ``_run_replication``, a
+module-level function that calls ``run`` by global lookup: callers may
+replace ``experiments.run`` with a closure (a tracing or counting wrapper),
+and a closure cannot be pickled, while a module-level function is pickled by
+its name.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -400,52 +412,57 @@ def _base_manifest(config: ExperimentConfig, resolved: Sequence[ResolvedParams])
     }
 
 
+def _run_replication(config: UmdaConfig) -> RunResult:
+    """One replication in a worker process; ``run`` is looked up when called."""
+    return run(config)
+
+
 def _execute(
     config: ExperimentConfig,
     resolved: Sequence[ResolvedParams],
     jobs: int,
     record_trace: bool,
-) -> tuple[list[RunRow], list[tuple[int, int, RunResult]]]:
+) -> tuple[list[RunRow], list[RunResult]]:
     """Run every (n, replication) pair; results are ordered by (n, replication)."""
+    if jobs < 1:
+        raise ConfigError("jobs", "must be at least 1")
     noise = NoiseConfig(config.noise_p)
     by_n = {params.n: params for params in resolved}
-
-    def task(n: int, rep: int) -> tuple[int, int, RunResult]:
-        params = by_n[n]
-        run_config = UmdaConfig(
-            n=params.n,
-            lam=params.lam,
-            mu=params.mu,
+    pairs = sorted((params.n, rep) for params in resolved for rep in range(config.replications))
+    run_configs = [
+        UmdaConfig(
+            n=n,
+            lam=by_n[n].lam,
+            mu=by_n[n].mu,
             noise=noise,
-            max_evals=params.max_evals,
+            max_evals=by_n[n].max_evals,
             seed=derive_run_seed(config.master_seed, n, rep),
             record_trace=record_trace,
-            track_marginals_from=params.tail_start if record_trace else None,
+            track_marginals_from=by_n[n].tail_start if record_trace else None,
             engine=config.engine,
         )
-        return n, rep, run(run_config)
-
-    pairs = [(params.n, rep) for params in resolved for rep in range(config.replications)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda nr: task(*nr), pairs))
+        for n, rep in pairs
+    ]
+    workers = min(jobs, len(run_configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_replication, run_configs))
     else:
-        outcomes = [task(n, rep) for n, rep in pairs]
-    outcomes.sort(key=lambda item: (item[0], item[1]))
+        results = [run(run_config) for run_config in run_configs]
     rows = [
         RunRow(
             n=n,
             replication=rep,
-            seed=derive_run_seed(config.master_seed, n, rep),
-            lam=by_n[n].lam,
-            mu=by_n[n].mu,
+            seed=run_config.seed,
+            lam=run_config.lam,
+            mu=run_config.mu,
             evals=result.evals,
             iterations=result.iterations,
             success=result.success,
         )
-        for n, rep, result in outcomes
+        for (n, rep), run_config, result in zip(pairs, run_configs, results)
     ]
-    return rows, outcomes
+    return rows, results
 
 
 def run_low_pressure(config: ExperimentConfig, jobs: int = 1) -> TraceExperimentResult:
@@ -470,12 +487,12 @@ def run_low_pressure(config: ExperimentConfig, jobs: int = 1) -> TraceExperiment
             "the run may make steady progress",
             stacklevel=2,
         )
-    rows, outcomes = _execute(config, resolved, jobs, record_trace=True)
+    rows, results = _execute(config, resolved, jobs, record_trace=True)
     params_by_n = {params.n: params for params in resolved}
-    traces = [result.trace for _, _, result in outcomes]
+    traces = [result.trace for result in results]
     summaries = [
-        summarize_trace(result.trace.z_mu, params_by_n[n].levels, z_star=result.trace.z_star)
-        for n, _, result in outcomes
+        summarize_trace(result.trace.z_mu, params_by_n[row.n].levels, z_star=result.trace.z_star)
+        for row, result in zip(rows, results)
     ]
     return TraceExperimentResult(
         scenario=config.scenario, rows=rows, traces=traces,
@@ -502,12 +519,12 @@ def run_high_pressure(config: ExperimentConfig, jobs: int = 1) -> TraceExperimen
                 f"fast-progress bound {bound:.4f}",
                 stacklevel=2,
             )
-    rows, outcomes = _execute(config, resolved, jobs, record_trace=True)
+    rows, results = _execute(config, resolved, jobs, record_trace=True)
     params_by_n = {params.n: params for params in resolved}
-    traces = [result.trace for _, _, result in outcomes]
+    traces = [result.trace for result in results]
     summaries = [
-        summarize_trace(result.trace.z_mu, params_by_n[n].levels, z_star=result.trace.z_star)
-        for n, _, result in outcomes
+        summarize_trace(result.trace.z_mu, params_by_n[row.n].levels, z_star=result.trace.z_star)
+        for row, result in zip(rows, results)
     ]
     return TraceExperimentResult(
         scenario=config.scenario, rows=rows, traces=traces,

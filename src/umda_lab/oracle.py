@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import kernels
 from .engine import Trace
@@ -265,6 +264,8 @@ def empirical_vs_exact(
         expected = total * exact.probabilities[positive]
         chi_square = float(((counts[positive] - expected) ** 2 / expected).sum())
     dof = int(positive.sum()) - 1
+    from scipy import stats as scipy_stats  # imported here: it costs most of a cold start
+
     critical = float(scipy_stats.chi2.ppf(1.0 - chi_square_significance, dof)) if dof > 0 else 0.0
     passed = tv <= tv_threshold and chi_square <= critical
     return ComparisonReport(

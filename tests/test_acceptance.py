@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing PASS/FAIL.
 
 Criteria 7 and 8 run full scaling studies and are marked slow; they are part
-of the default suite (deselect with -m "not slow" for a quick pass).
+of the default suite (deselect with -m "not slow" for a quick pass).  They
+and the criterion-3 fixture run their replications in two worker processes;
+results do not depend on the number of workers.
 """
 
 import itertools
@@ -52,7 +54,7 @@ def low_pressure_result():
         delta=0.2,
         epsilon=0.1,
     )
-    return run_low_pressure(config)
+    return run_low_pressure(config, jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +151,7 @@ def test_criterion_07_runtime_scaling_power_fit():
         gamma0=0.1,
         mu_rule=MuRule("c_log_n", c=5.0),
     )
-    result = run_runtime_scaling(config)
+    result = run_runtime_scaling(config, jobs=2)
     fit = result.fit
     ok = (
         result.censored == 0
@@ -174,7 +176,7 @@ def test_criterion_08_noisy_scaling_stays_near_quadratic():
         master_seed=MASTER_SEED,
         noise_p=0.1,
     )
-    result = run_noisy_scaling(config)
+    result = run_noisy_scaling(config, jobs=2)
     all_succeeded = all(row.success for row in result.rows)
     means = dict(result.points)
     ratios = [means[2 * n] / means[n] for n in (50, 100, 200) if n in means and 2 * n in means]

@@ -88,6 +88,14 @@ def test_experiment_unknown_field_reports_path(tmp_path, capsys):
     assert "typo_field" in err
 
 
+def test_experiment_rejects_jobs_below_one(tmp_path, capsys):
+    config_path = _write_config(tmp_path)
+    code, _, err = _run_cli(capsys, "experiment", str(config_path), "--jobs", "0")
+    assert code == 2
+    assert "jobs" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_requires_out_dir(tmp_path, capsys):
     config_path = _write_config(tmp_path)
     data = json.loads(config_path.read_text())
@@ -212,3 +220,19 @@ def test_run_engine_flag(tmp_path, capsys):
                           "--trace", "--out-dir", str(tmp_path / "default"))
     assert code == 0
     assert (tmp_path / "default" / "trace.csv").read_bytes() == outputs["levels"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, umda_lab.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,13 @@
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
+from umda_lab import experiments
 from umda_lab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -13,9 +18,11 @@ from umda_lab.experiments import (
     fit_power_model,
     parse_config,
     resolve_params,
+    run_experiment,
     run_high_pressure,
     run_low_pressure,
     run_runtime_scaling,
+    write_bundle,
 )
 
 
@@ -249,13 +256,107 @@ def test_runtime_scaling_censoring_reported():
     assert all(not row.success for row in result.rows)
 
 
-def test_jobs_do_not_change_results():
+def _bundle_bytes(result, out_dir):
+    write_bundle(result, out_dir)
+    return {path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
+_LOW_PRESSURE = _config(n_values=(30,), replications=3, iterations_cap=60)
+_NOISY = ExperimentConfig(scenario="noisy_scaling", n_values=(20, 30, 40), replications=2,
+                          master_seed=14, noise_p=0.2)
+
+
+def test_jobs_do_not_change_results(tmp_path):
     config = ExperimentConfig(
         scenario="high_pressure", n_values=(30,), replications=4, master_seed=13,
         gamma0=0.1, mu_rule=MuRule("c_log_n", c=5.0),
     )
     serial = run_high_pressure(config, jobs=1)
-    threaded = run_high_pressure(config, jobs=4)
-    assert serial.rows == threaded.rows
-    for a, b in zip(serial.traces, threaded.traces):
+    parallel = run_high_pressure(config, jobs=4)
+    assert serial.rows == parallel.rows
+    for a, b in zip(serial.traces, parallel.traces):
         np.testing.assert_array_equal(a.z_mu, b.z_mu)
+    bundles, results = {}, {}
+    for name, config in (("low", _LOW_PRESSURE), ("noisy", _NOISY)):
+        serial, parallel = run_experiment(config, jobs=1), run_experiment(config, jobs=2)
+        bundles[name] = _bundle_bytes(serial, tmp_path / name / "serial")
+        assert _bundle_bytes(parallel, tmp_path / name / "parallel") == bundles[name]
+        results[name] = (serial, parallel)
+    assert "traces/trace_n30_r002.csv" in bundles["low"] and "fit.json" in bundles["noisy"]
+    for a, b in zip(*(result.traces for result in results["low"])):  # marginal tails are in no bundle file
+        assert a.marginals_tail is not None
+        np.testing.assert_array_equal(a.marginals_tail, b.marginals_tail)
+
+
+def test_workers_call_run_by_its_module_name(monkeypatch):
+    """A closure installed as ``experiments.run`` (as tracers do) is never pickled."""
+    expected = run_experiment(_NOISY, jobs=1).rows
+    original = experiments.run
+    monkeypatch.setattr(experiments, "run", lambda config: original(config))
+    assert run_experiment(_NOISY, jobs=2).rows == expected
+
+
+def test_workers_started_by_spawn_give_the_same_rows(monkeypatch):
+    """Workers that import the package afresh, as on platforms that do not fork."""
+    expected = run_experiment(_NOISY, jobs=1).rows
+    spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", spawn)
+    assert run_experiment(_NOISY, jobs=2).rows == expected
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run reaches the workers only when they are forked")
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    parent = os.getpid()
+    original = experiments.run
+
+    def failing_run(config):
+        if os.getpid() != parent and config.n == 30:
+            raise RuntimeError(f"replication failed in worker {os.getpid()}")
+        return original(config)
+
+    monkeypatch.setattr(experiments, "run", failing_run)
+    with pytest.raises(RuntimeError, match="replication failed in worker"):
+        run_experiment(_NOISY, jobs=2)
+
+
+class _InlinePool:
+    """Records the requested pool size and runs the work in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, replications, expected", [
+    (100_000, 2, 3, 2),  # capped at the CPU count
+    (100_000, 64, 3, 3),  # capped at the replication count
+    (2, 64, 3, 2),
+    (4, None, 3, None),  # unknown CPU count: one worker, in this process
+    (4, 64, 1, None),  # a single replication runs in this process
+])
+def test_pool_size_is_bounded(monkeypatch, jobs, cpus, replications, expected):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    config = _config(replications=replications)
+    rows = run_low_pressure(config, jobs=jobs).rows
+    assert _InlinePool.sizes == ([] if expected is None else [expected])
+    assert rows == run_low_pressure(config, jobs=1).rows
+
+
+def test_jobs_below_one_rejected():
+    with pytest.raises(ConfigError) as exc:
+        run_low_pressure(_config(), jobs=0)
+    assert exc.value.path == "jobs"
