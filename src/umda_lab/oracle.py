@@ -5,8 +5,11 @@ conditional-binomial chain and literal enumeration of every possible
 population.  They must agree to within floating-point accumulation error,
 which is what the chain check asserts.  ``exact_transition`` enumerates one
 full sample, score, select and update step, noise included, which both
-engines are checked against.  All routines here are deliberately
-brute-force and size-capped; they are correctness anchors, not fast paths.
+engines are checked against.  Every enumeration here visits and weights
+each outcome of its space, under a size cap checked before anything of that
+size is allocated; they are correctness anchors, not engines.  The level
+enumeration tallies its populations by radix code in numpy rather than one
+by one in Python, and still shares no code with the chain.
 """
 
 from __future__ import annotations
@@ -120,8 +123,12 @@ def _all_bit_matrices(total_bits: int) -> np.ndarray:
 def enumerate_level_distribution(marginals: Sequence[float], size: int) -> ExactDistribution:
     """Joint law of the per-level counts by enumerating every population.
 
-    Walks all 2**(size*n) populations, weighting each by its product
-    probability.  Independent of the chain construction above.
+    Visits all 2**(size*n) populations, weighting each by its product
+    probability, and tallies them by the radix code of their count vector
+    (level 1 the most significant digit, so code order is tuple order).  The
+    weights are added in population order, so the law is the one a plain
+    per-population walk gives, bit for bit; outcomes of weight zero stay in
+    the support.  Independent of the chain construction above.
     """
     marginals = np.asarray(marginals, dtype=np.float64)
     n = marginals.shape[0]
@@ -130,12 +137,16 @@ def enumerate_level_distribution(marginals: Sequence[float], size: int) -> Exact
     weights = np.where(bits == 1, flat_p, 1.0 - flat_p).prod(axis=1)
     per_member = bits.reshape(-1, n)
     lo = kernels.leading_ones_rows(per_member).reshape(-1, size)
-    law: dict[tuple, float] = {}
-    for row_lo, w in zip(lo, weights):
-        counts = tuple(int(np.count_nonzero(row_lo >= level)) for level in range(1, n + 1))
-        law[counts] = law.get(counts, 0.0) + float(w)
-    support = sorted(law)
-    return ExactDistribution(support=tuple(support), probabilities=np.array([law[s] for s in support]))
+    radix = size + 1
+    codes = np.zeros(lo.shape[0], dtype=np.int64)
+    for level in range(1, n + 1):
+        codes = codes * radix + np.count_nonzero(lo >= level, axis=1)
+    law = np.bincount(codes, weights=weights)
+    support = np.nonzero(np.bincount(codes))[0]
+    return ExactDistribution(
+        support=tuple(zip(*(values.tolist() for values in np.unravel_index(support, (radix,) * n)))),
+        probabilities=law[support],
+    )
 
 
 def transition_outcomes(n: int, lam: int, noise_p: float) -> int:

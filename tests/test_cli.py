@@ -150,6 +150,16 @@ def test_oracle_chain_passes(capsys):
     assert report["models"] == 27
 
 
+def test_oracle_chain_passes_at_the_enumeration_cap(capsys):
+    # n * lambda = 16 bits: one uniform model, on which both routes are exact
+    code, out, _ = _run_cli(capsys, "oracle", "chain", "--n", "4", "--lambda", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["models"] == 1
+    assert report["max_tv_distance"] == 0.0
+
+
 def test_oracle_chain_rejects_infeasible(capsys):
     code, _, err = _run_cli(capsys, "oracle", "chain", "--n", "20")
     assert code == 2

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from umda_lab import NoiseConfig, ProbabilityVector, UmdaConfig, run
+from umda_lab import NoiseConfig, ProbabilityVector, UmdaConfig, kernels, run
 from umda_lab.engine import ENGINES, step
 from umda_lab.instrumentation import thresholds
 from umda_lab.oracle import (
     ExactDistribution,
+    _all_bit_matrices,
     brute_force_expected_max_leading_ones,
     check_transition,
     empirical_vs_exact,
@@ -52,9 +53,58 @@ def test_chain_matches_enumeration_on_margin_grid():
                 assert total_variation(chain, enumerated) < 1e-12
 
 
+def _enumerate_by_dict_walk(marginals, size):
+    # reference: the per-population dict walk the radix-code tally replaced
+    marginals = np.asarray(marginals, dtype=np.float64)
+    n = marginals.shape[0]
+    bits = _all_bit_matrices(size * n)
+    flat_p = np.tile(marginals, size)
+    weights = np.where(bits == 1, flat_p, 1.0 - flat_p).prod(axis=1)
+    lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, size)
+    law = {}
+    for row_lo, w in zip(lo, weights):
+        counts = tuple(int(np.count_nonzero(row_lo >= level)) for level in range(1, n + 1))
+        law[counts] = law.get(counts, 0.0) + float(w)
+    support = sorted(law)
+    return tuple(support), np.array([law[s] for s in support])
+
+
+def _exact_equality_cases():
+    for n in (2, 3):
+        grid = sorted({1.0 / n, 0.5, 1.0 - 1.0 / n})
+        for size in (1, 2, 3, 4):
+            for marginals in itertools.product(grid, repeat=n):
+                yield marginals, size
+    yield (0.5, 0.5, 0.5, 0.5), 4  # the 16-bit cap
+    yield (2 / 3, 0.4, 0.3, 0.6), 4
+    for size in (1, 2, 3):  # zero-weight populations must stay in the support
+        yield (1.0, 0.0, 0.5), size
+        yield (0.0, 1.0), size
+        yield (0.5, 1.0, 0.0, 0.25), size
+
+
+def test_enumeration_equals_dict_walk_bit_for_bit():
+    cases = 0
+    for marginals, size in _exact_equality_cases():
+        dist = enumerate_level_distribution(marginals, size)
+        support, probabilities = _enumerate_by_dict_walk(marginals, size)
+        assert dist.support == support, (marginals, size)
+        assert np.array_equal(dist.probabilities, probabilities), (marginals, size)
+        cases += 1
+    assert cases == 123
+
+
 def test_enumeration_rejects_oversized_spaces():
-    with pytest.raises(ValueError):
-        enumerate_level_distribution([0.5] * 5, 4)  # 2**20 outcomes
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="infeasible"):
+            enumerate_level_distribution([0.5] * 5, 4)  # 2**20 outcomes
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the 2**20 codes alone would take 8 MB
 
 
 def test_product_distribution_uniform_n3():
