@@ -9,6 +9,7 @@ seed of an experiment config when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,6 @@ from .experiments import (
     MuRule,
     parse_config,
     run_experiment,
-    run_low_pressure,
     write_bundle,
     write_trace_csv,
 )
@@ -109,9 +109,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = parse_config(data)
     env_seed = os.environ.get("UMDA_LAB_SEED")
     if env_seed is not None:
-        import dataclasses
-
-        config = dataclasses.replace(config, master_seed=int(env_seed))
+        try:
+            master_seed = int(env_seed)
+        except ValueError:
+            raise ConfigError("UMDA_LAB_SEED", f"expected an integer, got {env_seed!r}") from None
+        config = dataclasses.replace(config, master_seed=master_seed)
     out_dir = args.out_dir if args.out_dir is not None else (
         Path(config.out_dir) if config.out_dir else None
     )
@@ -181,7 +183,7 @@ def _oracle_tailmarginal(args: argparse.Namespace) -> dict:
         mu_rule=MuRule(kind="n"),
         iterations_cap=args.iterations,
     )
-    result = run_low_pressure(config)
+    result = run_experiment(config)
     report_obj = oracle.tail_marginal_frequency_test(result.traces, result.params_by_n[n].levels)
     passed = 0.45 <= report_obj.mean <= 0.55
     return {

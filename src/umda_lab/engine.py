@@ -69,7 +69,6 @@ class UmdaConfig:
     dense_until: int = 100_000
     thin_every: int = 100
     track_marginals_from: Optional[int] = None
-    record_level_counts: bool = False
     engine: str = "levels"
 
     def __post_init__(self) -> None:
@@ -100,7 +99,6 @@ class SortedPopulation:
     members: np.ndarray
     fitness_true: np.ndarray
     fitness_noisy: np.ndarray
-    order: np.ndarray
 
     def __post_init__(self) -> None:
         _require_non_increasing(self.fitness_noisy)
@@ -163,7 +161,6 @@ class Trace:
     evals: np.ndarray
     tail_start: Optional[int] = None
     marginals_tail: Optional[np.ndarray] = None
-    stats: Optional[list[IterationStats]] = None
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -187,7 +184,6 @@ class _TraceRecorder:
         self._misranked: list[int] = []
         self._evals: list[int] = []
         self._tails: list[np.ndarray] = []
-        self._stats: list[IterationStats] = []
 
     def _due(self, t: int) -> bool:
         return t < self._config.dense_until or t % self._config.thin_every == 0
@@ -203,8 +199,6 @@ class _TraceRecorder:
         self._evals.append(evals)
         if self._config.track_marginals_from is not None:
             self._tails.append(model.marginals[self._config.track_marginals_from:].copy())
-        if self._config.record_level_counts:
-            self._stats.append(stats)
 
     def build(self) -> Trace:
         tail_start = self._config.track_marginals_from
@@ -217,7 +211,6 @@ class _TraceRecorder:
             evals=np.array(self._evals, dtype=np.int64),
             tail_start=tail_start,
             marginals_tail=np.array(self._tails) if tail_start is not None else None,
-            stats=self._stats if self._config.record_level_counts else None,
         )
 
 
@@ -230,7 +223,6 @@ def sort_by_fitness(pop: Population) -> SortedPopulation:
         members=pop.members[order],
         fitness_true=pop.fitness_true[order],
         fitness_noisy=pop.fitness_noisy[order],
-        order=order,
     )
 
 

@@ -1,5 +1,11 @@
 """Scenario orchestration: stall and progress regimes, scaling studies, power fits.
 
+Each scenario is one row of the ``SCENARIOS`` table: its default delta and
+epsilon, its default budget, its population rule, whether it tracks the
+tail marginals, an optional pre-run check that warns and adds manifest
+fields, and whether it records depth traces or fits a power model to the
+mean runtimes.  ``run_experiment`` runs any row.
+
 Every experiment resolves its full parameter set (per-n population sizes,
 depth thresholds, budgets, per-replication seeds) before any run starts and
 records it in a manifest, so each result row is re-derivable from the
@@ -26,7 +32,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,15 +43,10 @@ from .objectives import NoiseConfig
 from .reporting import RUNTIME_HEADER, TRACE_HEADER, write_csv, write_json
 from .svgplot import Series, line_chart
 
-SCENARIOS = ("low_pressure", "high_pressure", "runtime_scaling", "noisy_scaling")
-
 # quoted vs evaluated upper bound on mu/lambda for the fast-progress regime;
 # both are recorded in high-pressure manifests (the evaluated form is
 # (1 - 1/n)(1 - delta)/e, which does not reproduce the quoted constant)
 GAMMA_BOUND_REFERENCE = 0.1821
-
-_SCENARIO_DELTA = {"low_pressure": 0.2, "high_pressure": 0.1, "runtime_scaling": 0.1, "noisy_scaling": 0.1}
-_SCENARIO_EPSILON = {"low_pressure": 0.1}
 
 
 class ConfigError(ValueError):
@@ -167,6 +168,13 @@ _FIELD_TYPES = {
 }
 
 
+def _typed(path: str, value, types):
+    """``value`` if it has one of ``types``; JSON booleans are never numbers."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(path, f"expected {types}, got {type(value).__name__}")
+    return value
+
+
 def parse_config(data: dict) -> ExperimentConfig:
     """Strict JSON-dict to config conversion; unknown fields are errors."""
     if not isinstance(data, dict):
@@ -178,10 +186,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     kwargs: dict = {}
     for name, types in _FIELD_TYPES.items():
         if name in data and data[name] is not None:
-            value = data[name]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(name, f"expected {types}, got {type(value).__name__}")
-            kwargs[name] = value
+            kwargs[name] = _typed(name, data[name], types)
     if "n_values" not in data:
         raise ConfigError("n_values", "required field missing")
     raw_n = data["n_values"]
@@ -197,10 +202,11 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"mu_rule.{key}", "unknown field")
         if "kind" not in raw_rule:
             raise ConfigError("mu_rule.kind", "required field missing")
+        c, mu = raw_rule.get("c"), raw_rule.get("mu")
         kwargs["mu_rule"] = MuRule(
             kind=raw_rule["kind"],
-            c=raw_rule.get("c"),
-            mu=raw_rule.get("mu"),
+            c=None if c is None else _typed("mu_rule.c", c, (int, float)),
+            mu=None if mu is None else _typed("mu_rule.mu", mu, int),
         )
     for required in ("scenario", "replications", "master_seed"):
         if required not in kwargs:
@@ -263,38 +269,91 @@ class ResolvedParams:
         }
 
 
-def _default_evals_cap(scenario: str, n: int) -> int:
-    if scenario == "noisy_scaling":
-        return 100 * n * n
-    return 50 * n * n
+def _check_stall_condition(manifest: dict, resolved: Sequence[ResolvedParams]) -> None:
+    """Warn (without aborting) when the pressure is too high for the stall regime.
+
+    The stall condition is gamma_star >= (1 + delta) / e^(1 - epsilon).
+    """
+    condition_floor = (1.0 + manifest["delta"]) / math.exp(1.0 - manifest["epsilon"])
+    manifest["stall_condition_floor"] = condition_floor
+    ok = all(low_pressure_condition(params.levels) for params in resolved)
+    manifest["stall_condition_ok"] = ok
+    if not ok:
+        warnings.warn(
+            f"selective pressure below the stall condition floor {condition_floor:.4f}; "
+            "the run may make steady progress",
+            stacklevel=3,
+        )
+
+
+def _check_progress_bound(manifest: dict, resolved: Sequence[ResolvedParams]) -> None:
+    """Record both fast-progress bounds and warn where gamma_star exceeds the evaluated one."""
+    bounds = {params.n: (1.0 - 1.0 / params.n) * (1.0 - manifest["delta"]) / math.e for params in resolved}
+    manifest["gamma_bound_reference"] = GAMMA_BOUND_REFERENCE
+    manifest["gamma_bound_evaluated"] = {str(n): bound for n, bound in bounds.items()}
+    for params in resolved:
+        if params.levels.gamma_star > bounds[params.n]:
+            warnings.warn(
+                f"gamma_star={params.levels.gamma_star:.4f} at n={params.n} exceeds the "
+                f"fast-progress bound {bounds[params.n]:.4f}",
+                stacklevel=3,
+            )
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One row of the scenario table.
+
+    ``populations(config, n, delta)`` gives (mu, lambda).  A config without
+    a cap runs ``iterations_cap`` iterations when that is set, else
+    ``evals_per_n2 * n**2`` evaluations.  ``track_tail`` snapshots the
+    marginals from position floor(beta + 2) on.  ``check(manifest,
+    resolved)`` runs before any replication.  A ``traced`` scenario keeps
+    every depth trace; the others fit a power model to the mean evaluations.
+    """
+
+    delta: float
+    populations: Callable[[ExperimentConfig, int, float], tuple[int, int]]
+    traced: bool
+    epsilon: Optional[float] = None
+    iterations_cap: Optional[int] = None
+    evals_per_n2: int = 50
+    track_tail: bool = False
+    check: Optional[Callable[[dict, Sequence[ResolvedParams]], None]] = None
+
+
+def _by_mu_rule(config: ExperimentConfig, n: int, delta: float) -> tuple[int, int]:
+    return derive_populations(n, config.gamma0, config.mu_rule)
+
+
+SCENARIOS = {
+    "low_pressure": Scenario(delta=0.2, epsilon=0.1, populations=_by_mu_rule, traced=True,
+                             iterations_cap=5000, track_tail=True, check=_check_stall_condition),
+    "high_pressure": Scenario(delta=0.1, populations=_by_mu_rule, traced=True, check=_check_progress_bound),
+    "runtime_scaling": Scenario(delta=0.1, populations=_by_mu_rule, traced=False),
+    "noisy_scaling": Scenario(delta=0.1, populations=lambda config, n, delta: derive_noisy_populations(n, delta),
+                              traced=False, evals_per_n2=100),
+}
 
 
 def resolve_params(config: ExperimentConfig) -> list[ResolvedParams]:
     """Derive population sizes, budgets and thresholds for every problem size."""
-    delta = config.delta if config.delta is not None else _SCENARIO_DELTA[config.scenario]
-    epsilon = config.epsilon if config.epsilon is not None else _SCENARIO_EPSILON.get(config.scenario)
+    scenario = SCENARIOS[config.scenario]
+    delta = config.delta if config.delta is not None else scenario.delta
+    epsilon = config.epsilon if config.epsilon is not None else scenario.epsilon
     resolved = []
     for n in config.n_values:
-        if config.scenario == "noisy_scaling":
-            mu, lam = derive_noisy_populations(n, delta)
-        else:
-            mu, lam = derive_populations(n, config.gamma0, config.mu_rule)
+        mu, lam = scenario.populations(config, n, delta)
         levels = thresholds(n, mu / lam, delta, epsilon)
         iterations_cap = config.iterations_cap
         if config.evals_cap is not None:
             max_evals = config.evals_cap
-        elif iterations_cap is not None:
-            max_evals = lam * iterations_cap
-        elif config.scenario == "low_pressure":
-            iterations_cap = 5000
-            max_evals = lam * iterations_cap
         else:
-            max_evals = _default_evals_cap(config.scenario, n)
-        tail_start = None
-        if config.scenario == "low_pressure":
-            cutoff = int(math.floor(levels.beta + 2.0))
-            if cutoff < n:
-                tail_start = cutoff
+            if iterations_cap is None:
+                iterations_cap = scenario.iterations_cap
+            max_evals = lam * iterations_cap if iterations_cap is not None else scenario.evals_per_n2 * n * n
+        cutoff = int(math.floor(levels.beta + 2.0))
+        tail_start = cutoff if scenario.track_tail and cutoff < n else None
         resolved.append(
             ResolvedParams(
                 n=n, lam=lam, mu=mu, max_evals=max_evals,
@@ -397,16 +456,15 @@ def fit_power_model(points: Sequence[tuple[float, float]]) -> PowerFit:
 
 
 def _base_manifest(config: ExperimentConfig, resolved: Sequence[ResolvedParams]) -> dict:
-    delta = config.delta if config.delta is not None else _SCENARIO_DELTA[config.scenario]
-    epsilon = config.epsilon if config.epsilon is not None else _SCENARIO_EPSILON.get(config.scenario)
+    levels = resolved[0].levels  # every n shares the resolved delta and epsilon
     return {
         "tool": "umda-lab",
         "version": VERSION,
         "scenario": config.scenario,
         "master_seed": config.master_seed,
         "config": config.to_dict(),
-        "delta": delta,
-        "epsilon": epsilon,
+        "delta": levels.delta,
+        "epsilon": levels.epsilon,
         "noise_p": config.noise_p,
         "per_n": [params.to_dict() for params in resolved],
     }
@@ -465,73 +523,6 @@ def _execute(
     return rows, results
 
 
-def run_low_pressure(config: ExperimentConfig, jobs: int = 1) -> TraceExperimentResult:
-    """Stall regime: per-iteration depth traces over a fixed epoch.
-
-    Warns (without aborting) when the configured pressure is too high for
-    the stall condition gamma_star >= (1 + delta) / e^(1 - epsilon).
-    """
-    if config.scenario != "low_pressure":
-        raise ConfigError("scenario", "config is not a low_pressure scenario")
-    resolved = resolve_params(config)
-    manifest = _base_manifest(config, resolved)
-    epsilon = manifest["epsilon"]
-    delta = manifest["delta"]
-    condition_floor = (1.0 + delta) / math.exp(1.0 - epsilon)
-    manifest["stall_condition_floor"] = condition_floor
-    ok = all(low_pressure_condition(params.levels) for params in resolved)
-    manifest["stall_condition_ok"] = ok
-    if not ok:
-        warnings.warn(
-            f"selective pressure below the stall condition floor {condition_floor:.4f}; "
-            "the run may make steady progress",
-            stacklevel=2,
-        )
-    rows, results = _execute(config, resolved, jobs, record_trace=True)
-    params_by_n = {params.n: params for params in resolved}
-    traces = [result.trace for result in results]
-    summaries = [
-        summarize_trace(result.trace.z_mu, params_by_n[row.n].levels, z_star=result.trace.z_star)
-        for row, result in zip(rows, results)
-    ]
-    return TraceExperimentResult(
-        scenario=config.scenario, rows=rows, traces=traces,
-        summaries=summaries, params_by_n=params_by_n, manifest=manifest,
-    )
-
-
-def run_high_pressure(config: ExperimentConfig, jobs: int = 1) -> TraceExperimentResult:
-    """Progress regime: depth traces until the optimum or the budget."""
-    if config.scenario != "high_pressure":
-        raise ConfigError("scenario", "config is not a high_pressure scenario")
-    resolved = resolve_params(config)
-    manifest = _base_manifest(config, resolved)
-    delta = manifest["delta"]
-    manifest["gamma_bound_reference"] = GAMMA_BOUND_REFERENCE
-    manifest["gamma_bound_evaluated"] = {
-        str(params.n): (1.0 - 1.0 / params.n) * (1.0 - delta) / math.e for params in resolved
-    }
-    for params in resolved:
-        bound = (1.0 - 1.0 / params.n) * (1.0 - delta) / math.e
-        if params.levels.gamma_star > bound:
-            warnings.warn(
-                f"gamma_star={params.levels.gamma_star:.4f} at n={params.n} exceeds the "
-                f"fast-progress bound {bound:.4f}",
-                stacklevel=2,
-            )
-    rows, results = _execute(config, resolved, jobs, record_trace=True)
-    params_by_n = {params.n: params for params in resolved}
-    traces = [result.trace for result in results]
-    summaries = [
-        summarize_trace(result.trace.z_mu, params_by_n[row.n].levels, z_star=result.trace.z_star)
-        for row, result in zip(rows, results)
-    ]
-    return TraceExperimentResult(
-        scenario=config.scenario, rows=rows, traces=traces,
-        summaries=summaries, params_by_n=params_by_n, manifest=manifest,
-    )
-
-
 def _scaling_points(rows: Sequence[RunRow]) -> tuple[list[tuple[int, float]], int]:
     """Mean evals per n over successful rows; failures count as censored."""
     censored = sum(1 for row in rows if not row.success)
@@ -543,10 +534,30 @@ def _scaling_points(rows: Sequence[RunRow]) -> tuple[list[tuple[int, float]], in
     return points, censored
 
 
-def _run_scaling(config: ExperimentConfig, jobs: int) -> ScalingResult:
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> TraceExperimentResult | ScalingResult:
+    """Run every replication of the config's scenario row.
+
+    A traced scenario returns the depth traces and their summaries; the
+    others return the mean evaluations per n and, from three sizes with a
+    success on, the fitted power model.
+    """
+    scenario = SCENARIOS[config.scenario]
     resolved = resolve_params(config)
     manifest = _base_manifest(config, resolved)
-    rows, _ = _execute(config, resolved, jobs, record_trace=False)
+    if scenario.check is not None:
+        scenario.check(manifest, resolved)
+    rows, results = _execute(config, resolved, jobs, record_trace=scenario.traced)
+    if scenario.traced:
+        params_by_n = {params.n: params for params in resolved}
+        traces = [result.trace for result in results]
+        summaries = [
+            summarize_trace(result.trace.z_mu, params_by_n[row.n].levels, z_star=result.trace.z_star)
+            for row, result in zip(rows, results)
+        ]
+        return TraceExperimentResult(
+            scenario=config.scenario, rows=rows, traces=traces,
+            summaries=summaries, params_by_n=params_by_n, manifest=manifest,
+        )
     points, censored = _scaling_points(rows)
     fit = fit_power_model(points) if len(points) >= 3 else None
     manifest["censored"] = censored
@@ -556,30 +567,6 @@ def _run_scaling(config: ExperimentConfig, jobs: int) -> ScalingResult:
         scenario=config.scenario, rows=rows, points=points,
         censored=censored, fit=fit, manifest=manifest,
     )
-
-
-def run_runtime_scaling(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
-    """Noise-free scaling table plus the fitted power model."""
-    if config.scenario != "runtime_scaling":
-        raise ConfigError("scenario", "config is not a runtime_scaling scenario")
-    return _run_scaling(config, jobs)
-
-
-def run_noisy_scaling(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
-    """Scaling table under one-bit prior noise with the noisy population rule."""
-    if config.scenario != "noisy_scaling":
-        raise ConfigError("scenario", "config is not a noisy_scaling scenario")
-    return _run_scaling(config, jobs)
-
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1):
-    runner = {
-        "low_pressure": run_low_pressure,
-        "high_pressure": run_high_pressure,
-        "runtime_scaling": run_runtime_scaling,
-        "noisy_scaling": run_noisy_scaling,
-    }[config.scenario]
-    return runner(config, jobs=jobs)
 
 
 def _trace_rows(trace: Trace):

@@ -20,18 +20,14 @@ from .model import Population
 
 @dataclass(frozen=True)
 class IterationStats:
-    """Snapshot of one iteration: level counts, depths, and noise misranks.
+    """Snapshot of one iteration: depths, best true fitness and noise misranks.
 
-    ``levels_at_least`` / ``levels_exact`` are the C and D count vectors
-    truncated to the deepest non-empty level (positions beyond ``z_star`` are
-    implicitly zero).  ``misranked`` counts individuals whose noisy score
-    reaches level ``z_mu + 1`` although their true score does not (written to
-    the ``B`` trace column; always 0 without noise).
+    ``misranked`` counts individuals whose noisy score reaches level
+    ``z_mu + 1`` although their true score does not (written to the ``B``
+    trace column; always 0 without noise).
     """
 
     t: int
-    levels_at_least: np.ndarray
-    levels_exact: np.ndarray
     z_mu: int
     z_star: int
     best_true: int
@@ -106,7 +102,7 @@ def noisy_misrank_count(pop: Population, j: int) -> int:
 
 
 def iteration_stats(pop: Population, mu: int, t: int) -> IterationStats:
-    """Compute the full per-iteration snapshot and check the counting identity.
+    """Compute the per-iteration snapshot and check the counting identity.
 
     Only the fitness arrays, ``n`` and ``size`` of ``pop`` are read, so the
     level engine's ``LevelPopulation`` is scored the same way as a
@@ -121,8 +117,6 @@ def iteration_stats(pop: Population, mu: int, t: int) -> IterationStats:
     misranked = noisy_misrank_count(pop, z_mu + 1)
     return IterationStats(
         t=t,
-        levels_at_least=c[:z_star].copy(),
-        levels_exact=d[:z_star].copy(),
         z_mu=z_mu,
         z_star=z_star,
         best_true=int(pop.fitness_true.max()),

@@ -1,37 +1,22 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The bit engine's numpy kernels: bit sampling, leading-ones scoring, ones counting.
 
-The backend is chosen once at import time: numba is used when it is
-importable, unless the environment variable ``UMDA_LAB_NUMBA`` is set to
-``0``/``false``/``no``/``off``, in which case the numpy implementations are
-used.  Both backends are bit-for-bit identical: all randomness is drawn
-*outside* the kernels (a uniform block is passed in), so a run produces the
-same populations, traces and CSV bytes regardless of backend.
-
-``benchmarks/bench_kernels.py`` compares the two paths.
+All randomness is drawn *outside* the kernels (a uniform block is passed
+in), so each kernel is a pure function of its arrays.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_wants_numba() -> bool:
-    value = os.environ.get("UMDA_LAB_NUMBA", "").strip().lower()
-    return value not in ("0", "false", "no", "off")
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations (always available; the reference semantics)
-# ---------------------------------------------------------------------------
-
-def _sample_bits_np(uniforms: np.ndarray, marginals: np.ndarray) -> np.ndarray:
+def sample_bits(uniforms: np.ndarray, marginals: np.ndarray) -> np.ndarray:
     """Threshold a (rows, n) uniform block against per-column one-probabilities."""
     return (uniforms < marginals).astype(np.uint8)
 
 
-def _leading_ones_rows_np(bits: np.ndarray) -> np.ndarray:
+def leading_ones_rows(bits: np.ndarray) -> np.ndarray:
     """Length of the all-ones prefix of every row of a (rows, n) 0/1 matrix."""
     n = bits.shape[1]
     first_zero = np.argmin(bits, axis=1)
@@ -39,70 +24,6 @@ def _leading_ones_rows_np(bits: np.ndarray) -> np.ndarray:
     return np.where(bits.all(axis=1), n, first_zero).astype(np.int64)
 
 
-def _column_ones_counts_np(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def column_ones_counts(bits: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-position count of ones over the given row indices."""
     return bits[rows].sum(axis=0, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-NUMBA_AVAILABLE = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _sample_bits_nb(uniforms, marginals):  # pragma: no cover - numba
-        rows, n = uniforms.shape
-        bits = np.empty((rows, n), dtype=np.uint8)
-        for i in range(rows):
-            for j in range(n):
-                bits[i, j] = 1 if uniforms[i, j] < marginals[j] else 0
-        return bits
-
-    @njit(cache=True, nogil=True)
-    def _leading_ones_rows_nb(bits):  # pragma: no cover - numba
-        rows, n = bits.shape
-        out = np.empty(rows, dtype=np.int64)
-        for i in range(rows):
-            k = 0
-            while k < n and bits[i, k] == 1:
-                k += 1
-            out[i] = k
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _column_ones_counts_nb(bits, rows):  # pragma: no cover - numba
-        n = bits.shape[1]
-        counts = np.zeros(n, dtype=np.int64)
-        for r in rows:
-            for j in range(n):
-                counts[j] += bits[r, j]
-        return counts
-
-    sample_bits = _sample_bits_nb
-    leading_ones_rows = _leading_ones_rows_nb
-    column_ones_counts = _column_ones_counts_nb
-    BACKEND = "numba"
-else:
-    sample_bits = _sample_bits_np
-    leading_ones_rows = _leading_ones_rows_np
-    column_ones_counts = _column_ones_counts_np
-    BACKEND = "numpy"
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation so timing-sensitive callers pay it up front."""
-    u = np.array([[0.2, 0.8]])
-    p = np.array([0.5, 0.5])
-    bits = sample_bits(u, p)
-    leading_ones_rows(bits)
-    column_ones_counts(bits, np.array([0]))

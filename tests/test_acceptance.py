@@ -18,10 +18,7 @@ from umda_lab.experiments import (
     ExperimentConfig,
     MuRule,
     fit_power_model,
-    run_high_pressure,
-    run_low_pressure,
-    run_noisy_scaling,
-    run_runtime_scaling,
+    run_experiment,
 )
 from umda_lab.oracle import (
     enumerate_level_distribution,
@@ -54,7 +51,7 @@ def low_pressure_result():
         delta=0.2,
         epsilon=0.1,
     )
-    return run_low_pressure(config, jobs=2)
+    return run_experiment(config, jobs=2)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +64,7 @@ def high_pressure_result():
         gamma0=0.1,
         mu_rule=MuRule("c_log_n", c=5.0),
     )
-    return run_high_pressure(config)
+    return run_experiment(config)
 
 
 def test_criterion_01_chain_equals_enumeration_on_grid():
@@ -151,7 +148,7 @@ def test_criterion_07_runtime_scaling_power_fit():
         gamma0=0.1,
         mu_rule=MuRule("c_log_n", c=5.0),
     )
-    result = run_runtime_scaling(config, jobs=2)
+    result = run_experiment(config, jobs=2)
     fit = result.fit
     ok = (
         result.censored == 0
@@ -176,7 +173,7 @@ def test_criterion_08_noisy_scaling_stays_near_quadratic():
         master_seed=MASTER_SEED,
         noise_p=0.1,
     )
-    result = run_noisy_scaling(config, jobs=2)
+    result = run_experiment(config, jobs=2)
     all_succeeded = all(row.success for row in result.rows)
     means = dict(result.points)
     ratios = [means[2 * n] / means[n] for n in (50, 100, 200) if n in means and 2 * n in means]

@@ -115,6 +115,19 @@ def test_experiment_env_seed_override(tmp_path, capsys, monkeypatch):
     assert manifest["master_seed"] == 99
 
 
+def test_experiment_rejects_bad_mu_rule_and_seed(tmp_path, capsys, monkeypatch):
+    config_path = _write_config(tmp_path, mu_rule={"kind": "c_log_n", "c": "5"})
+    code, _, err = _run_cli(capsys, "experiment", str(config_path))
+    assert code == 2
+    assert "mu_rule.c" in err
+    config_path = _write_config(tmp_path)
+    monkeypatch.setenv("UMDA_LAB_SEED", "seven")
+    code, _, err = _run_cli(capsys, "experiment", str(config_path))
+    assert code == 2
+    assert "UMDA_LAB_SEED" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_rerun_from_manifest_is_byte_identical(tmp_path, capsys):
     config_path = _write_config(tmp_path)
     code, _, _ = _run_cli(capsys, "experiment", str(config_path))

@@ -1,21 +1,23 @@
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umda_lab import NoiseConfig, UmdaConfig, run, select_parents, sort_by_fitness, update_model
+from umda_lab import NoiseConfig, UmdaConfig, instrumentation, run, select_parents, sort_by_fitness, update_model
 from umda_lab.engine import ENGINES, LevelPopulation, select_levels, update_levels
 from umda_lab.model import Population, init_model
 
 
 def _pop(fitnesses, n=3):
+    """Rows scored by ``fitnesses``; ``fitness_true`` tags each row with its sampling index."""
     members = np.arange(len(fitnesses) * n, dtype=np.uint8).reshape(len(fitnesses), n) % 2
     for i in range(len(fitnesses)):
         members[i, 0] = i % 2  # make rows distinguishable enough for identity checks
-    fit = np.array(fitnesses, dtype=np.int64)
-    return Population(members=members, fitness_true=fit, fitness_noisy=fit)
+    tags = np.arange(len(fitnesses), dtype=np.int64)
+    return Population(members=members, fitness_true=tags, fitness_noisy=np.array(fitnesses, dtype=np.int64))
 
 
 def test_config_validation():
@@ -34,20 +36,20 @@ def test_config_validation():
 def test_sort_stable_descending_with_ties():
     pop = _pop([2, 5, 5, 0])
     ordered = sort_by_fitness(pop)
-    assert ordered.order.tolist() == [1, 2, 0, 3]
+    assert ordered.fitness_true.tolist() == [1, 2, 0, 3]
     assert ordered.fitness_noisy.tolist() == [5, 5, 2, 0]
 
 
 def test_sort_idempotent_on_sorted_input():
     pop = _pop([7, 4, 2, 1])
     ordered = sort_by_fitness(pop)
-    assert ordered.order.tolist() == [0, 1, 2, 3]
+    assert ordered.fitness_true.tolist() == [0, 1, 2, 3]
 
 
 def test_sort_all_equal_keeps_sampling_order():
     pop = _pop([3, 3, 3, 3])
     ordered = sort_by_fitness(pop)
-    assert ordered.order.tolist() == [0, 1, 2, 3]
+    assert ordered.fitness_true.tolist() == [0, 1, 2, 3]
 
 
 def test_select_parents_takes_prefix():
@@ -63,7 +65,7 @@ def test_select_parents_takes_prefix():
 def test_select_parents_tie_rule():
     ordered = sort_by_fitness(_pop([3, 3, 3, 0]))
     parents = select_parents(ordered, 2)
-    assert ordered.order[:2].tolist() == [0, 1]
+    assert parents.fitness_true.tolist() == [0, 1]
     assert parents.fitness_noisy.tolist() == [3, 3]
 
 
@@ -153,7 +155,7 @@ def test_backend_flag_does_not_change_results():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "UMDA_LAB_NUMBA": "0"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
         check=True,
     )
     want = f"{result.success} {result.evals} {result.iterations} {result.trace.z_mu.tolist()}"
@@ -169,9 +171,9 @@ def test_success_recorded_in_final_trace_row():
 
 def test_zero_noise_sorts_by_true_fitness():
     for engine in ENGINES:
-        result = run(UmdaConfig(n=12, lam=20, mu=5, seed=10, record_level_counts=True, engine=engine))
-        for stats in result.trace.stats:
-            assert stats.misranked == 0
+        result = run(UmdaConfig(n=12, lam=20, mu=5, seed=10, engine=engine))
+        assert len(result.trace) == result.iterations
+        assert not result.trace.misranked.any()
 
 
 def test_trace_thinning_keeps_final_iteration():
@@ -211,6 +213,23 @@ def test_trace_evals_column_counts_lambda_per_iteration():
         np.testing.assert_array_equal(result.trace.evals, 14 * (result.trace.t + 1))
 
 
+@contextmanager
+def recorded_level_counts():
+    """Collect the full-length (C, D) vectors of every ``iteration_stats`` call."""
+    counts = []
+    original = instrumentation.level_counts
+
+    def recording(pop):
+        counts.append(original(pop))
+        return counts[-1]
+
+    instrumentation.level_counts = recording
+    try:
+        yield counts
+    finally:
+        instrumentation.level_counts = original
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=2, max_value=40),
@@ -223,14 +242,16 @@ def test_level_engine_keeps_borders_and_counting_identity(n, mu, extra, noise_p,
     lam = mu + extra
     config = UmdaConfig(
         n=n, lam=lam, mu=mu, noise=NoiseConfig(noise_p), seed=seed, max_evals=60 * lam,
-        track_marginals_from=0, record_level_counts=True, engine="levels",
+        track_marginals_from=0, engine="levels",
     )
-    result = run(config)
+    with recorded_level_counts() as counts:
+        result = run(config)
     tails = result.trace.marginals_tail
     assert np.all(tails >= 1.0 / n) and np.all(tails <= 1.0 - 1.0 / n)
-    for stats in result.trace.stats:
-        c, d = stats.levels_at_least, stats.levels_exact  # truncated to the z_star non-empty levels
-        assert c.shape == d.shape == (stats.z_star,)
+    assert len(counts) == result.iterations
+    for (c, d), z_star in zip(counts, result.trace.z_star):
+        assert c.shape == d.shape == (n,)
+        assert np.count_nonzero(c) == z_star and not c[z_star:].any()
         np.testing.assert_array_equal(np.concatenate(([lam], c))[:-1], c + d)
 
 

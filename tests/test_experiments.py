@@ -19,9 +19,6 @@ from umda_lab.experiments import (
     parse_config,
     resolve_params,
     run_experiment,
-    run_high_pressure,
-    run_low_pressure,
-    run_runtime_scaling,
     write_bundle,
 )
 
@@ -60,9 +57,9 @@ def test_engine_field_defaults_to_levels_and_is_validated():
 def test_manifest_records_engine_and_replays_it():
     depths = {}
     for engine in ("levels", "bits"):
-        result = run_high_pressure(_config(scenario="high_pressure", gamma0=0.1, engine=engine))
+        result = run_experiment(_config(scenario="high_pressure", gamma0=0.1, engine=engine))
         assert result.manifest["config"]["engine"] == engine
-        replay = run_high_pressure(parse_config(result.manifest["config"]))
+        replay = run_experiment(parse_config(result.manifest["config"]))
         assert replay.rows == result.rows
         np.testing.assert_array_equal(replay.traces[0].z_mu, result.traces[0].z_mu)
         depths[engine] = result.traces[0].z_mu.tolist()
@@ -108,6 +105,20 @@ def test_type_errors_report_field():
     with pytest.raises(ConfigError) as exc:
         parse_config({"scenario": "low_pressure", "n_values": "ten", "replications": 1, "master_seed": 0})
     assert exc.value.path == "n_values"
+
+
+@pytest.mark.parametrize("rule, path", [
+    ({"kind": "c_log_n", "c": "5"}, "mu_rule.c"),
+    ({"kind": "c_log_n", "c": True}, "mu_rule.c"),
+    ({"kind": "explicit", "mu": 2.5}, "mu_rule.mu"),
+    ({"kind": "explicit", "mu": True}, "mu_rule.mu"),
+    ({"kind": "explicit", "mu": "3"}, "mu_rule.mu"),
+])
+def test_mu_rule_types_are_checked(rule, path):
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"scenario": "high_pressure", "n_values": [10], "replications": 1,
+                      "master_seed": 0, "mu_rule": rule})
+    assert exc.value.path == path
 
 
 # --- parameter derivation --------------------------------------------------
@@ -202,14 +213,24 @@ def test_fit_scale_consistency():
 def test_low_pressure_warns_when_pressure_too_high():
     config = _config(gamma0=0.3, n_values=(30,), iterations_cap=3)
     with pytest.warns(UserWarning, match="stall condition"):
-        result = run_low_pressure(config)
+        result = run_experiment(config)
     assert result.manifest["stall_condition_ok"] is False
     assert len(result.rows) == 1
 
 
+def test_scenario_warnings_point_at_the_caller():
+    stall = _config(gamma0=0.3, iterations_cap=3)
+    progress = _config(scenario="high_pressure", gamma0=0.5, iterations_cap=3)
+    for config, message in ((stall, "stall condition"), (progress, "fast-progress bound")):
+        with pytest.warns(UserWarning, match=message) as record:
+            run_experiment(config)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+
 def test_low_pressure_traces_and_rows():
     config = _config(n_values=(30,), replications=2, iterations_cap=20)
-    result = run_low_pressure(config)
+    result = run_experiment(config)
     assert len(result.rows) == len(result.traces) == len(result.summaries) == 2
     for row, trace in zip(result.rows, result.traces):
         assert row.evals == row.lam * row.iterations
@@ -223,7 +244,7 @@ def test_high_pressure_manifest_records_both_bounds():
         scenario="high_pressure", n_values=(40,), replications=2, master_seed=3,
         gamma0=0.1, mu_rule=MuRule("c_log_n", c=5.0),
     )
-    result = run_high_pressure(config)
+    result = run_experiment(config)
     assert result.manifest["gamma_bound_reference"] == 0.1821
     evaluated = result.manifest["gamma_bound_evaluated"]["40"]
     assert evaluated == pytest.approx((1 - 1 / 40) * 0.9 / math.e, rel=1e-12)
@@ -235,7 +256,7 @@ def test_runtime_scaling_row_count_and_monotone_means():
         scenario="runtime_scaling", n_values=(30, 60, 90), replications=3,
         master_seed=11, gamma0=0.1, mu_rule=MuRule("c_log_n", c=5.0),
     )
-    result = run_runtime_scaling(config)
+    result = run_experiment(config)
     assert len(result.rows) == 9
     assert result.censored == 0
     means = [y for _, y in result.points]
@@ -249,7 +270,7 @@ def test_runtime_scaling_censoring_reported():
         scenario="runtime_scaling", n_values=(30, 40, 50), replications=2,
         master_seed=12, gamma0=0.1, mu_rule=MuRule("c_log_n", c=5.0), evals_cap=200,
     )
-    result = run_runtime_scaling(config)
+    result = run_experiment(config)
     assert result.censored == 6
     assert result.points == []
     assert result.fit is None
@@ -272,8 +293,8 @@ def test_jobs_do_not_change_results(tmp_path):
         scenario="high_pressure", n_values=(30,), replications=4, master_seed=13,
         gamma0=0.1, mu_rule=MuRule("c_log_n", c=5.0),
     )
-    serial = run_high_pressure(config, jobs=1)
-    parallel = run_high_pressure(config, jobs=4)
+    serial = run_experiment(config, jobs=1)
+    parallel = run_experiment(config, jobs=4)
     assert serial.rows == parallel.rows
     for a, b in zip(serial.traces, parallel.traces):
         np.testing.assert_array_equal(a.z_mu, b.z_mu)
@@ -351,12 +372,12 @@ def test_pool_size_is_bounded(monkeypatch, jobs, cpus, replications, expected):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     config = _config(replications=replications)
-    rows = run_low_pressure(config, jobs=jobs).rows
+    rows = run_experiment(config, jobs=jobs).rows
     assert _InlinePool.sizes == ([] if expected is None else [expected])
-    assert rows == run_low_pressure(config, jobs=1).rows
+    assert rows == run_experiment(config, jobs=1).rows
 
 
 def test_jobs_below_one_rejected():
     with pytest.raises(ConfigError) as exc:
-        run_low_pressure(_config(), jobs=0)
+        run_experiment(_config(), jobs=0)
     assert exc.value.path == "jobs"

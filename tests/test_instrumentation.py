@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_engine import recorded_level_counts
 from umda_lab import (
     NoiseConfig,
     UmdaConfig,
@@ -167,9 +168,9 @@ def test_iteration_stats_truncates_levels_at_deepest():
     stats = iteration_stats(pop, mu=2, t=4)
     assert stats.t == 4
     assert stats.z_star == 2
-    assert stats.levels_at_least.shape == (2,)
-    assert stats.levels_at_least.tolist() == [2, 1]
-    assert stats.levels_exact.tolist() == [1, 1]
+    c, d = level_counts(pop)
+    assert c.tolist() == [2, 1, 0]  # every level past z_star is empty
+    assert d.tolist() == [1, 1, 1]
     assert stats.best_true == 2
     assert stats.z_mu == 1
 
@@ -211,10 +212,10 @@ def test_summarize_trace_window_default_second_half():
 
 
 def test_counting_identity_holds_throughout_a_run():
-    result = run(UmdaConfig(n=10, lam=16, mu=4, seed=33, max_evals=3200, record_level_counts=True))
-    for stats in result.trace.stats:
+    with recorded_level_counts() as counts:
+        result = run(UmdaConfig(n=10, lam=16, mu=4, seed=33, max_evals=3200))
+    assert len(counts) == result.iterations
+    for c, d in counts:
         size = 16
-        c = stats.levels_at_least
-        d = stats.levels_exact
         previous = np.concatenate(([size], c[:-1]))
         np.testing.assert_array_equal(previous, c + d)
