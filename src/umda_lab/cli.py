@@ -83,17 +83,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         noise=NoiseConfig(args.noise_p),
         max_evals=args.max_evals,
         seed=args.seed,
-        record_trace=True,
+        record_trace=args.trace,
         engine=args.engine,
     )
     result = run(config)
     if args.trace:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(args.out_dir / "trace.csv", result.trace)
-    best = int(result.trace.best_true[-1])
     print(
         f"n={args.n} lambda={args.lam} mu={args.mu} noise_p={args.noise_p} seed={args.seed} "
-        f"success={int(result.success)} evals={result.evals} iterations={result.iterations} best_true={best}"
+        f"success={int(result.success)} evals={result.evals} iterations={result.iterations} "
+        f"best_true={result.best_true}"
     )
     return 0
 

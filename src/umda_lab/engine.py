@@ -168,13 +168,23 @@ class Trace:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Outcome of one run; ``best_true`` is the last iteration's best true fitness."""
+
     success: bool
     evals: int
     iterations: int
+    best_true: int
     trace: Optional[Trace] = None
 
 
 class _TraceRecorder:
+    """Collects the trace rows of one run.
+
+    ``run`` computes an iteration's ``IterationStats`` only when the recorder
+    keeps that iteration: every one below ``dense_until``, every
+    ``thin_every``-th after it, and the final one.
+    """
+
     def __init__(self, config: UmdaConfig) -> None:
         self._config = config
         self._t: list[int] = []
@@ -185,12 +195,11 @@ class _TraceRecorder:
         self._evals: list[int] = []
         self._tails: list[np.ndarray] = []
 
-    def _due(self, t: int) -> bool:
+    def keeps(self, t: int) -> bool:
+        """Whether iteration ``t`` is recorded even when it is not the final one."""
         return t < self._config.dense_until or t % self._config.thin_every == 0
 
-    def observe(self, stats: IterationStats, model: ProbabilityVector, evals: int, final: bool) -> None:
-        if not (final or self._due(stats.t)):
-            return
+    def observe(self, stats: IterationStats, model: ProbabilityVector, evals: int) -> None:
         self._t.append(stats.t)
         self._z_mu.append(stats.z_mu)
         self._z_star.append(stats.z_star)
@@ -273,15 +282,15 @@ def sample_levels(
         coins = rng.random(size)
         rows = np.nonzero(coins < noise.p)[0]
         if rows.size:
-            noisy, reveal_end = lo.copy(), lo.copy()
             flips = rng.integers(0, model.n, size=rows.size)
             row_lo = lo[rows]
-            below = flips < row_lo
-            noisy[rows[below]] = flips[below]
+            noisy = lo.copy()
+            noisy[rows] = np.minimum(flips, row_lo)
             hit = rows[flips == row_lo]
             if hit.size:
                 # P(run after position LO >= r) = survival[LO + r] / survival[LO]
                 ends = np.searchsorted(descending, -rng.random(hit.size) * survival[lo[hit]])
+                reveal_end = lo.copy()
                 reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
                 noisy[hit] = reveal_end[hit]
     if counter is not None:
@@ -328,22 +337,27 @@ def run(config: UmdaConfig) -> RunResult:
 
     The optimum check uses true fitness on every sampled population before
     selection, so noise cannot hide a sampled optimum.  Budget exhaustion is
-    a normal result with ``success`` False.
+    a normal result with ``success`` False.  Level statistics, and with them
+    the counting-identity check, are computed only for the iterations the
+    trace keeps; an untraced run reads just the best true fitness.
     """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
     counter = EvaluationCounter()
     recorder = _TraceRecorder(config) if config.record_trace else None
     iterations = 0
-    success = False
-    while counter.evals < config.max_evals:
+    while True:
         pop = _sample(model, config, rng, counter)
-        stats = iteration_stats(pop, config.mu, iterations)
+        t = iterations
         iterations += 1
-        success = stats.best_true == config.n
+        stats = iteration_stats(pop, config.mu, t) if recorder is not None and recorder.keeps(t) else None
+        best_true = stats.best_true if stats is not None else int(pop.fitness_true.max())
+        success = best_true == config.n
         final = success or counter.evals >= config.max_evals
-        if recorder is not None:
-            recorder.observe(stats, model, counter.evals, final)
+        if recorder is not None and final and stats is None:
+            stats = iteration_stats(pop, config.mu, t)
+        if stats is not None:
+            recorder.observe(stats, model, counter.evals)
         if final:
             break
         model = _update(pop, model, config, rng).new_model
@@ -351,6 +365,7 @@ def run(config: UmdaConfig) -> RunResult:
         success=success,
         evals=counter.evals,
         iterations=iterations,
+        best_true=best_true,
         trace=recorder.build() if recorder is not None else None,
     )
 

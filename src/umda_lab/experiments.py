@@ -59,7 +59,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MuRule:
-    """How the parent population size is derived from the problem size."""
+    """How the parent population size is derived from the problem size.
+
+    ``c`` must be a number and ``mu`` an integer, booleans rejected, whether
+    the rule comes from the Python API or from a JSON config.
+    """
 
     kind: str  # c_log_n | sqrt_n | n | explicit
     c: Optional[float] = None
@@ -68,8 +72,12 @@ class MuRule:
     def __post_init__(self) -> None:
         if self.kind not in ("c_log_n", "sqrt_n", "n", "explicit"):
             raise ConfigError("mu_rule.kind", f"unknown rule {self.kind!r}")
-        if self.kind == "c_log_n" and (self.c is None or self.c <= 0):
-            raise ConfigError("mu_rule.c", "c_log_n requires a positive coefficient")
+        if self.c is not None:
+            _typed("mu_rule.c", self.c, (int, float))
+        if self.mu is not None:
+            _typed("mu_rule.mu", self.mu, int)
+        if self.kind == "c_log_n" and (self.c is None or not 0 < self.c < math.inf):
+            raise ConfigError("mu_rule.c", "c_log_n requires a positive finite coefficient")
         if self.kind == "explicit" and (self.mu is None or self.mu < 1):
             raise ConfigError("mu_rule.mu", "explicit rule requires mu >= 1")
 
@@ -116,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError("n_values", "must be non-empty")
         if any(n < 2 for n in self.n_values):
             raise ConfigError("n_values", "every problem size must be at least 2")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ConfigError("n_values", "problem sizes must be distinct")
         if self.replications < 1:
             raise ConfigError("replications", "must be at least 1")
         if self.master_seed < 0:
@@ -202,12 +212,7 @@ def parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"mu_rule.{key}", "unknown field")
         if "kind" not in raw_rule:
             raise ConfigError("mu_rule.kind", "required field missing")
-        c, mu = raw_rule.get("c"), raw_rule.get("mu")
-        kwargs["mu_rule"] = MuRule(
-            kind=raw_rule["kind"],
-            c=None if c is None else _typed("mu_rule.c", c, (int, float)),
-            mu=None if mu is None else _typed("mu_rule.mu", mu, int),
-        )
+        kwargs["mu_rule"] = MuRule(kind=raw_rule["kind"], c=raw_rule.get("c"), mu=raw_rule.get("mu"))
     for required in ("scenario", "replications", "master_seed"):
         if required not in kwargs:
             raise ConfigError(required, "required field missing")

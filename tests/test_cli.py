@@ -19,6 +19,18 @@ def test_run_prints_summary_and_succeeds(capsys):
     assert "n=2" in out and "evals=" in out
 
 
+@pytest.mark.parametrize("engine", ["levels", "bits"])
+def test_run_prints_the_same_line_with_and_without_trace(engine, tmp_path, capsys):
+    args = ["run", "--n", "14", "--lambda", "12", "--mu", "4", "--noise-p", "0.2", "--seed", "3", "--engine", engine]
+    code, untraced, _ = _run_cli(capsys, *args)
+    assert code == 0
+    code, traced, _ = _run_cli(capsys, *args, "--trace", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert traced == untraced
+    _, rows = read_csv(tmp_path / "trace.csv")
+    assert f"best_true={rows[-1][3]}" in untraced
+
+
 def test_run_rejects_equal_populations(capsys):
     code, _, err = _run_cli(capsys, "run", "--n", "10", "--lambda", "10", "--mu", "10")
     assert code == 2
@@ -125,6 +137,14 @@ def test_experiment_rejects_bad_mu_rule_and_seed(tmp_path, capsys, monkeypatch):
     code, _, err = _run_cli(capsys, "experiment", str(config_path))
     assert code == 2
     assert "UMDA_LAB_SEED" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_rejects_repeated_problem_sizes(tmp_path, capsys):
+    config_path = _write_config(tmp_path, n_values=[20, 20, 30])
+    code, _, err = _run_cli(capsys, "experiment", str(config_path))
+    assert code == 2
+    assert "n_values" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,12 +1,13 @@
 import os
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umda_lab import NoiseConfig, UmdaConfig, instrumentation, run, select_parents, sort_by_fitness, update_model
+from umda_lab import NoiseConfig, UmdaConfig, engine, instrumentation, run, select_parents, sort_by_fitness, update_model
 from umda_lab.engine import ENGINES, LevelPopulation, select_levels, update_levels
 from umda_lab.model import Population, init_model
 
@@ -211,6 +212,48 @@ def test_trace_evals_column_counts_lambda_per_iteration():
     for engine in ENGINES:
         result = run(UmdaConfig(n=20, lam=14, mu=7, seed=22, max_evals=7000, engine=engine))
         np.testing.assert_array_equal(result.trace.evals, 14 * (result.trace.t + 1))
+
+
+# The truncated shape spends its 200 evaluations in 50 iterations; with
+# dense_until=10 and thin_every=6 its final iteration 49 is not a thinned
+# one, so the recorder adds it as the final row.
+_SOLVED = dict(n=12, lam=20, mu=5)
+_TRUNCATED = dict(n=30, lam=4, mu=2, max_evals=200, dense_until=10, thin_every=6)
+
+
+@pytest.mark.parametrize("shape, solved", [(_SOLVED, True), (_TRUNCATED, False)], ids=["solved", "truncated"])
+@pytest.mark.parametrize("noise_p", [0.0, 0.4])
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_untraced_run_matches_traced_run(engine_name, noise_p, shape, solved):
+    # at noise 0.4 some of these seeds sample a noisy score of n before the
+    # optimum, so a success test on noisy fitness would end those runs early
+    for seed in range(5):
+        config = UmdaConfig(**shape, noise=NoiseConfig(noise_p), seed=seed, engine=engine_name)
+        traced = run(config)
+        untraced = run(replace(config, record_trace=False))
+        assert untraced.trace is None
+        assert traced.success is solved
+        assert (untraced.success, untraced.evals, untraced.iterations, untraced.best_true) == (
+            traced.success, traced.evals, traced.iterations, traced.best_true)
+        assert traced.best_true == traced.trace.best_true[-1]
+
+
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
+    calls = []
+    original = engine.iteration_stats
+
+    def counting(pop, mu, t):
+        calls.append(t)
+        return original(pop, mu, t)
+
+    monkeypatch.setattr(engine, "iteration_stats", counting)
+    config = UmdaConfig(**_TRUNCATED, noise=NoiseConfig(0.4), seed=31, engine=engine_name)
+    run(replace(config, record_trace=False))
+    assert calls == []
+    traced = run(config)
+    assert calls == traced.trace.t.tolist()
+    assert calls[-1] == 49
 
 
 @contextmanager

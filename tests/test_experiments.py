@@ -121,6 +121,29 @@ def test_mu_rule_types_are_checked(rule, path):
     assert exc.value.path == path
 
 
+@pytest.mark.parametrize("kwargs, path", [
+    ({"kind": "c_log_n", "c": "5"}, "mu_rule.c"),
+    ({"kind": "c_log_n", "c": True}, "mu_rule.c"),
+    ({"kind": "c_log_n", "c": float("nan")}, "mu_rule.c"),
+    ({"kind": "c_log_n", "c": float("inf")}, "mu_rule.c"),
+    ({"kind": "explicit", "mu": 2.5}, "mu_rule.mu"),
+    ({"kind": "explicit", "mu": True}, "mu_rule.mu"),
+    ({"kind": "explicit", "mu": "3"}, "mu_rule.mu"),
+    ({"kind": "sqrt_n", "mu": 2.5}, "mu_rule.mu"),
+], ids=["c-str", "c-bool", "c-nan", "c-inf", "mu-float", "mu-bool", "mu-str", "unused-mu-float"])
+def test_mu_rule_constructor_checks_types(kwargs, path):
+    with pytest.raises(ConfigError) as exc:
+        MuRule(**kwargs)
+    assert exc.value.path == path
+
+
+def test_repeated_problem_sizes_rejected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"scenario": "runtime_scaling", "n_values": [20, 20, 30], "replications": 1,
+                      "master_seed": 0})
+    assert exc.value.path == "n_values"
+
+
 # --- parameter derivation --------------------------------------------------
 
 def test_sqrt_rule_at_n100():
