@@ -1,7 +1,7 @@
 """Simulation lab for the univariate marginal distribution algorithm on LeadingOnes."""
 
 from ._version import VERSION as __version__
-from .engine import ModelUpdate, RunResult, SortedPopulation, Trace, UmdaConfig, run, select_parents, sort_by_fitness, update_model
+from .engine import RunResult, Trace, UmdaConfig, run, select_parents, sort_by_fitness, update_model
 from .instrumentation import (
     IterationStats,
     ThresholdParams,
@@ -15,14 +15,12 @@ from .instrumentation import (
 )
 from .model import (
     Population,
-    ProbabilityVector,
     clamp_to_margins,
     init_model,
     sample_individual,
     sample_population,
 )
 from .objectives import (
-    EvaluationCounter,
     NoiseConfig,
     evaluate_population,
     expected_noisy_fitness,
@@ -32,14 +30,10 @@ from .objectives import (
 
 __all__ = [
     "__version__",
-    "EvaluationCounter",
     "IterationStats",
-    "ModelUpdate",
     "NoiseConfig",
     "Population",
-    "ProbabilityVector",
     "RunResult",
-    "SortedPopulation",
     "ThresholdParams",
     "Trace",
     "TraceSummary",

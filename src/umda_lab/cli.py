@@ -30,7 +30,7 @@ from .experiments import (
     write_bundle,
     write_trace_csv,
 )
-from .model import ProbabilityVector, init_model
+from .model import init_model
 from .objectives import NoiseConfig, expected_noisy_fitness, leading_ones, noisy_leading_ones_batch
 
 
@@ -202,8 +202,10 @@ def _oracle_tailmarginal(args: argparse.Namespace) -> dict:
 def _oracle_noise_expectation(args: argparse.Namespace) -> dict:
     n = args.n if args.n is not None else 20
     samples = args.samples if args.samples is not None else 200_000
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     rng = np.random.default_rng(args.seed)
-    bits = (rng.random(n) < init_model(n).marginals).astype(np.uint8)
+    bits = (rng.random(n) < init_model(n)).astype(np.uint8)
     noise = NoiseConfig(args.p)
     exact = expected_noisy_fitness(bits, noise)
     tiled = np.tile(bits, (samples, 1))
@@ -233,12 +235,11 @@ def _oracle_transition(args: argparse.Namespace) -> dict:
     oracle.transition_outcomes(n, args.lam, args.p)  # reject infeasible sizes before allocating
     marginals = np.linspace(1.0 - 1.0 / n, 1.0 / n, n)
     exact = oracle.exact_transition(marginals, args.lam, args.mu, args.p)
-    model = ProbabilityVector(marginals=marginals, n=n)
     engines = {}
     for engine in ENGINES:
         config = UmdaConfig(n=n, lam=args.lam, mu=args.mu, noise=NoiseConfig(args.p), engine=engine)
         rng = np.random.default_rng(args.seed)
-        comparison = oracle.check_transition(lambda: step(model, config, rng).ones_counts, exact, samples)
+        comparison = oracle.check_transition(lambda: step(marginals, config, rng), exact, samples)
         engines[engine] = {
             "tv_distance": comparison.tv_distance,
             "chi_square": comparison.chi_square,

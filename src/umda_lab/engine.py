@@ -1,8 +1,11 @@
 """The sample / score / select / update loop, on bits or on leading-ones levels.
 
-Two engines share one loop: budget, success check, trace recording and
-marginal snapshots.  Only the sample/score step and the ones-count step
-differ.
+The model is a plain float64 array of n marginals.  Two engines share one
+loop: budget, success check, trace recording and marginal snapshots.  Only
+the sample/score step and the ones-count step differ.  A ones-count step
+returns the parents' per-position ones counts, and ``run`` sets the next
+model to those counts over mu, clamped to the borders and checked against
+them.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -38,11 +41,16 @@ from typing import Optional
 import numpy as np
 
 from .instrumentation import IterationStats, iteration_stats
-from .model import Population, ProbabilityVector, clamp_vector, init_model, sample_population
-from .objectives import EvaluationCounter, NoiseConfig, evaluate_population
+from .model import Population, check_marginals, clamp_vector, init_model, sample_population
+from .objectives import NoiseConfig, evaluate_population
 from . import kernels
 
 ENGINES = ("levels", "bits")
+
+# A trace keeps every iteration below DENSE_UNTIL, every THIN_EVERY-th one
+# after it, and the final one.
+DENSE_UNTIL = 100_000
+THIN_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -50,13 +58,12 @@ class UmdaConfig:
     """Parameters of a single run.
 
     ``max_evals`` defaults to 100 * n**2 evaluations, generous for the
-    regimes where the optimum is reachable at all.  Trace recording is dense
-    up to ``dense_until`` iterations, then thinned to every ``thin_every``-th
-    iteration (the final iteration is always recorded).
-    ``track_marginals_from`` records a per-iteration snapshot of the model
-    marginals from that 0-based position onward.  ``engine`` selects the
-    level-count engine (``"levels"``) or the bit-level reference
-    (``"bits"``); see the module docstring.
+    regimes where the optimum is reachable at all; each iteration spends
+    ``lam`` of them.  Trace recording is thinned by ``DENSE_UNTIL`` and
+    ``THIN_EVERY``.  ``track_marginals_from`` records a per-iteration
+    snapshot of the model marginals from that 0-based position onward.
+    ``engine`` selects the level-count engine (``"levels"``) or the
+    bit-level reference (``"bits"``); see the module docstring.
     """
 
     n: int
@@ -66,8 +73,6 @@ class UmdaConfig:
     max_evals: Optional[int] = None
     seed: int = 0
     record_trace: bool = True
-    dense_until: int = 100_000
-    thin_every: int = 100
     track_marginals_from: Optional[int] = None
     engine: str = "levels"
 
@@ -82,30 +87,12 @@ class UmdaConfig:
             object.__setattr__(self, "max_evals", 100 * self.n * self.n)
         if self.max_evals < self.lam:
             raise ValueError(f"budget {self.max_evals} below one population of {self.lam}")
-        if self.thin_every < 1:
-            raise ValueError("thin_every must be at least 1")
         if self.track_marginals_from is not None and not 0 <= self.track_marginals_from < self.n:
             raise ValueError("track_marginals_from outside [0, n)")
 
     @property
     def gamma_star(self) -> float:
         return self.mu / self.lam
-
-
-@dataclass(frozen=True)
-class SortedPopulation:
-    """Population reordered by non-increasing noisy fitness; ties keep sampling order."""
-
-    members: np.ndarray
-    fitness_true: np.ndarray
-    fitness_noisy: np.ndarray
-
-    def __post_init__(self) -> None:
-        _require_non_increasing(self.fitness_noisy)
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
 
 
 def _require_non_increasing(fitness: np.ndarray) -> None:
@@ -133,14 +120,6 @@ class LevelPopulation:
     @property
     def size(self) -> int:
         return self.fitness_true.shape[0]
-
-
-@dataclass(frozen=True)
-class ModelUpdate:
-    """Per-position ones counts among the parents and the resulting clamped model."""
-
-    ones_counts: np.ndarray
-    new_model: ProbabilityVector
 
 
 @dataclass(frozen=True)
@@ -181,8 +160,8 @@ class _TraceRecorder:
     """Collects the trace rows of one run.
 
     ``run`` computes an iteration's ``IterationStats`` only when the recorder
-    keeps that iteration: every one below ``dense_until``, every
-    ``thin_every``-th after it, and the final one.
+    keeps that iteration: every one below ``DENSE_UNTIL``, every
+    ``THIN_EVERY``-th after it, and the final one.
     """
 
     def __init__(self, config: UmdaConfig) -> None:
@@ -197,9 +176,9 @@ class _TraceRecorder:
 
     def keeps(self, t: int) -> bool:
         """Whether iteration ``t`` is recorded even when it is not the final one."""
-        return t < self._config.dense_until or t % self._config.thin_every == 0
+        return t < DENSE_UNTIL or t % THIN_EVERY == 0
 
-    def observe(self, stats: IterationStats, model: ProbabilityVector, evals: int) -> None:
+    def observe(self, stats: IterationStats, marginals: np.ndarray, evals: int) -> None:
         self._t.append(stats.t)
         self._z_mu.append(stats.z_mu)
         self._z_star.append(stats.z_star)
@@ -207,7 +186,7 @@ class _TraceRecorder:
         self._misranked.append(stats.misranked)
         self._evals.append(evals)
         if self._config.track_marginals_from is not None:
-            self._tails.append(model.marginals[self._config.track_marginals_from:].copy())
+            self._tails.append(marginals[self._config.track_marginals_from:].copy())
 
     def build(self) -> Trace:
         tail_start = self._config.track_marginals_from
@@ -223,19 +202,17 @@ class _TraceRecorder:
         )
 
 
-def sort_by_fitness(pop: Population) -> SortedPopulation:
+def sort_by_fitness(pop: Population) -> Population:
     """Stable sort by noisy fitness, non-increasing; ties keep sampling order."""
     if pop.fitness_noisy is None or pop.fitness_true is None:
         raise ValueError("population must be evaluated before sorting")
     order = np.argsort(-pop.fitness_noisy, kind="stable")
-    return SortedPopulation(
-        members=pop.members[order],
-        fitness_true=pop.fitness_true[order],
-        fitness_noisy=pop.fitness_noisy[order],
-    )
+    fitness_noisy = pop.fitness_noisy[order]
+    _require_non_increasing(fitness_noisy)
+    return Population(members=pop.members[order], fitness_true=pop.fitness_true[order], fitness_noisy=fitness_noisy)
 
 
-def select_parents(pop: SortedPopulation, mu: int) -> Population:
+def select_parents(pop: Population, mu: int) -> Population:
     """The mu fittest individuals (by noisy fitness) in sorted order."""
     if mu > pop.size:
         raise ValueError(f"cannot select {mu} parents from {pop.size} individuals")
@@ -246,25 +223,14 @@ def select_parents(pop: SortedPopulation, mu: int) -> Population:
     )
 
 
-def update_model(selected: Population, mu: int, n: int) -> ModelUpdate:
-    """Set each marginal to the parents' ones frequency, clamped to the borders."""
+def update_model(selected: Population, mu: int) -> np.ndarray:
+    """The parents' per-position ones counts, which ``run`` turns into the next model."""
     if selected.size != mu:
         raise ValueError(f"expected exactly {mu} selected individuals, got {selected.size}")
-    return _model_update(kernels.column_ones_counts(selected.members, np.arange(mu)), mu, n)
+    return kernels.column_ones_counts(selected.members, np.arange(mu))
 
 
-def _model_update(ones: np.ndarray, mu: int, n: int) -> ModelUpdate:
-    marginals = clamp_vector(ones / mu, n)
-    return ModelUpdate(ones_counts=ones, new_model=ProbabilityVector(marginals=marginals, n=n))
-
-
-def sample_levels(
-    model: ProbabilityVector,
-    size: int,
-    noise: NoiseConfig,
-    rng: np.random.Generator,
-    counter: EvaluationCounter | None = None,
-) -> LevelPopulation:
+def sample_levels(marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.random.Generator) -> LevelPopulation:
     """Draw ``size`` leading-ones values and score them, one evaluation each.
 
     P(LO > k) = p_0 * ... * p_k, so an individual's leading-ones value is
@@ -274,7 +240,8 @@ def sample_levels(
     LO + 1 + the ones run after it, drawn by the same inverse CDF given the
     prefix through LO.
     """
-    survival = np.cumprod(model.marginals)  # survival[k] = P(LO > k)
+    n = marginals.shape[0]
+    survival = np.cumprod(marginals)  # survival[k] = P(LO > k)
     descending = -survival
     lo = np.searchsorted(descending, -rng.random(size))
     noisy, reveal_end = lo, lo
@@ -282,7 +249,7 @@ def sample_levels(
         coins = rng.random(size)
         rows = np.nonzero(coins < noise.p)[0]
         if rows.size:
-            flips = rng.integers(0, model.n, size=rows.size)
+            flips = rng.integers(0, n, size=rows.size)
             row_lo = lo[rows]
             noisy = lo.copy()
             noisy[rows] = np.minimum(flips, row_lo)
@@ -293,9 +260,7 @@ def sample_levels(
                 reveal_end = lo.copy()
                 reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
                 noisy[hit] = reveal_end[hit]
-    if counter is not None:
-        counter.add(size)
-    return LevelPopulation(n=model.n, fitness_true=lo, fitness_noisy=noisy, reveal_end=reveal_end)
+    return LevelPopulation(n=n, fitness_true=lo, fitness_noisy=noisy, reveal_end=reveal_end)
 
 
 def select_levels(pop: LevelPopulation, mu: int) -> np.ndarray:
@@ -306,15 +271,15 @@ def select_levels(pop: LevelPopulation, mu: int) -> np.ndarray:
 
 
 def update_levels(
-    pop: LevelPopulation, parents: np.ndarray, model: ProbabilityVector, rng: np.random.Generator
-) -> ModelUpdate:
+    pop: LevelPopulation, parents: np.ndarray, marginals: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """Parents' ones counts from what was seen, plus binomials for what was not.
 
     At position j: every parent with more than j leading ones has a one, a
     parent with exactly j has a zero, and a parent with fewer has a
     revealed bit or an unseen Bernoulli(p_j) one.
     """
-    n, mu = model.n, parents.shape[0]
+    n, mu = marginals.shape[0], parents.shape[0]
     lo = pop.fitness_true[parents]
     end = pop.reveal_end[parents]
     per_level = np.bincount(lo, minlength=n + 1)
@@ -328,8 +293,8 @@ def update_levels(
         ones += ones_seen
         unseen -= ones_seen + np.bincount(stop[stop < n], minlength=n)
     first = lo.min() + 1  # no parent has an unseen bit at or before its lowest LO
-    ones[first:] += rng.binomial(unseen[first:], model.marginals[first:])
-    return _model_update(ones, mu, n)
+    ones[first:] += rng.binomial(unseen[first:], marginals[first:])
+    return ones
 
 
 def run(config: UmdaConfig) -> RunResult:
@@ -343,45 +308,52 @@ def run(config: UmdaConfig) -> RunResult:
     """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
-    counter = EvaluationCounter()
     recorder = _TraceRecorder(config) if config.record_trace else None
     iterations = 0
     while True:
-        pop = _sample(model, config, rng, counter)
+        pop = _sample(model, config, rng)
         t = iterations
         iterations += 1
+        evals = config.lam * iterations
         stats = iteration_stats(pop, config.mu, t) if recorder is not None and recorder.keeps(t) else None
         best_true = stats.best_true if stats is not None else int(pop.fitness_true.max())
         success = best_true == config.n
-        final = success or counter.evals >= config.max_evals
+        final = success or evals >= config.max_evals
         if recorder is not None and final and stats is None:
             stats = iteration_stats(pop, config.mu, t)
         if stats is not None:
-            recorder.observe(stats, model, counter.evals)
+            recorder.observe(stats, model, evals)
         if final:
             break
-        model = _update(pop, model, config, rng).new_model
+        model = clamp_vector(_update(pop, model, config, rng) / config.mu, config.n)
+        check_marginals(model, config.n)
     return RunResult(
         success=success,
-        evals=counter.evals,
+        evals=evals,
         iterations=iterations,
         best_true=best_true,
         trace=recorder.build() if recorder is not None else None,
     )
 
 
-def step(model: ProbabilityVector, config: UmdaConfig, rng: np.random.Generator) -> ModelUpdate:
-    """One sample, score, select and update step of ``config.engine`` from ``model``."""
-    return _update(_sample(model, config, rng, None), model, config, rng)
+def step(marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator) -> np.ndarray:
+    """One sample, score and select step of ``config.engine``; returns the parents' ones counts.
+
+    ``marginals`` must hold ``config.n`` values inside the borders, as every
+    model ``run`` builds does.
+    """
+    marginals = np.asarray(marginals, dtype=np.float64)
+    check_marginals(marginals, config.n)
+    return _update(_sample(marginals, config, rng), marginals, config, rng)
 
 
-def _sample(model, config: UmdaConfig, rng, counter):
+def _sample(marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator):
     if config.engine == "bits":
-        return evaluate_population(sample_population(model, config.lam, rng), config.noise, rng, counter)
-    return sample_levels(model, config.lam, config.noise, rng, counter)
+        return evaluate_population(sample_population(marginals, config.lam, rng), config.noise, rng)
+    return sample_levels(marginals, config.lam, config.noise, rng)
 
 
-def _update(pop, model, config: UmdaConfig, rng) -> ModelUpdate:
+def _update(pop, marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator) -> np.ndarray:
     if config.engine == "bits":
-        return update_model(select_parents(sort_by_fitness(pop), config.mu), config.mu, config.n)
-    return update_levels(pop, select_levels(pop, config.mu), model, rng)
+        return update_model(select_parents(sort_by_fitness(pop), config.mu), config.mu)
+    return update_levels(pop, select_levels(pop, config.mu), marginals, rng)

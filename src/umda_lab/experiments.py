@@ -101,6 +101,13 @@ class MuRule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One scenario's settings.
+
+    The constructor checks the type of every field, booleans rejected, so a
+    config built in Python and one read by ``parse_config`` pass the same
+    checks.
+    """
+
     scenario: str
     n_values: tuple[int, ...]
     replications: int
@@ -116,6 +123,13 @@ class ExperimentConfig:
     engine: str = "levels"
 
     def __post_init__(self) -> None:
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is not None:
+                _typed(name, value, types)
+        for n in self.n_values:
+            _typed("n_values", n, int)
+        _typed("mu_rule", self.mu_rule, MuRule)
         if self.scenario not in SCENARIOS:
             raise ConfigError("scenario", f"unknown scenario {self.scenario!r}")
         if self.engine not in ENGINES:
@@ -178,11 +192,10 @@ _FIELD_TYPES = {
 }
 
 
-def _typed(path: str, value, types):
-    """``value`` if it has one of ``types``; JSON booleans are never numbers."""
+def _typed(path: str, value, types) -> None:
+    """Raise unless ``value`` has one of ``types``; booleans are never numbers."""
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(path, f"expected {types}, got {type(value).__name__}")
-    return value
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -193,16 +206,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key in data:
         if key not in known:
             raise ConfigError(key, "unknown field")
-    kwargs: dict = {}
-    for name, types in _FIELD_TYPES.items():
-        if name in data and data[name] is not None:
-            kwargs[name] = _typed(name, data[name], types)
+    kwargs = {name: data[name] for name in _FIELD_TYPES if data.get(name) is not None}
     if "n_values" not in data:
         raise ConfigError("n_values", "required field missing")
-    raw_n = data["n_values"]
-    if not isinstance(raw_n, list) or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw_n):
+    if not isinstance(data["n_values"], list):
         raise ConfigError("n_values", "expected a list of integers")
-    kwargs["n_values"] = tuple(raw_n)
+    kwargs["n_values"] = tuple(data["n_values"])
     if "mu_rule" in data and data["mu_rule"] is not None:
         raw_rule = data["mu_rule"]
         if not isinstance(raw_rule, dict):

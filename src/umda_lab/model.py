@@ -1,13 +1,14 @@
 """Bitstrings, the marginal probability model, and population sampling.
 
 A bitstring is a 1-d ``numpy`` array of 0/1 values (dtype ``uint8``).  The
-probabilistic model is one independent one-probability per position, clamped
-to the borders ``[1/n, 1 - 1/n]`` so no marginal can fix at 0 or 1.
+probabilistic model is a plain float64 array of n marginals, one independent
+one-probability per position, clamped to the borders ``[1/n, 1 - 1/n]`` so
+no marginal can fix at 0 or 1; ``check_marginals`` checks that invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -15,25 +16,6 @@ import numpy as np
 from . import kernels
 
 Bitstring = np.ndarray
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Per-position one-probabilities, all within the borders [1/n, 1-1/n]."""
-
-    marginals: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        marginals = np.asarray(self.marginals, dtype=np.float64)
-        if marginals.ndim != 1 or marginals.shape[0] != self.n:
-            raise ValueError(f"expected {self.n} marginals, got shape {marginals.shape}")
-        lo, hi = 1.0 / self.n, 1.0 - 1.0 / self.n
-        if not (marginals.min() >= lo and marginals.max() <= hi):
-            raise ValueError(f"marginals outside borders [{lo}, {hi}]")
-        marginals = marginals.copy()
-        marginals.flags.writeable = False
-        object.__setattr__(self, "marginals", marginals)
 
 
 @dataclass(frozen=True)
@@ -65,18 +47,24 @@ class Population:
     def n(self) -> int:
         return self.members.shape[1]
 
-    def with_fitness(self, true: np.ndarray, noisy: np.ndarray) -> "Population":
-        return replace(self, fitness_true=true, fitness_noisy=noisy)
 
-
-def init_model(n: int) -> ProbabilityVector:
+def init_model(n: int) -> np.ndarray:
     """Uniform starting model: every marginal exactly 1/2.
 
     Rejects n < 2, where the borders 1/n and 1 - 1/n would collide or invert.
     """
     if n < 2:
         raise ValueError(f"problem size must be at least 2, got {n}")
-    return ProbabilityVector(marginals=np.full(n, 0.5), n=n)
+    return np.full(n, 0.5)
+
+
+def check_marginals(marginals: np.ndarray, n: int) -> None:
+    """Raise unless ``marginals`` holds exactly n values inside the borders [1/n, 1 - 1/n]."""
+    if marginals.shape != (n,):
+        raise ValueError(f"expected {n} marginals, got shape {marginals.shape}")
+    lo, hi = 1.0 / n, 1.0 - 1.0 / n
+    if not (marginals.min() >= lo and marginals.max() <= hi):
+        raise ValueError(f"marginals outside borders [{lo}, {hi}]")
 
 
 def clamp_to_margins(value: float, n: int) -> float:
@@ -94,12 +82,12 @@ def clamp_vector(values: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(np.maximum(values, 1.0 / n), 1.0 - 1.0 / n)
 
 
-def sample_individual(model: ProbabilityVector, rng: np.random.Generator) -> Bitstring:
+def sample_individual(marginals: np.ndarray, rng: np.random.Generator) -> Bitstring:
     """Draw one bitstring; bit i is 1 with probability marginals[i]."""
-    return (rng.random(model.n) < model.marginals).astype(np.uint8)
+    return (rng.random(marginals.shape[0]) < marginals).astype(np.uint8)
 
 
-def sample_population(model: ProbabilityVector, size: int, rng: np.random.Generator) -> Population:
+def sample_population(marginals: np.ndarray, size: int, rng: np.random.Generator) -> Population:
     """Draw ``size`` independent individuals from the product distribution.
 
     Consumes exactly one (size, n) uniform block from ``rng`` in row-major
@@ -107,6 +95,6 @@ def sample_population(model: ProbabilityVector, size: int, rng: np.random.Genera
     """
     if size < 1:
         raise ValueError(f"population size must be at least 1, got {size}")
-    uniforms = rng.random((size, model.n))
-    bits = kernels.sample_bits(uniforms, model.marginals)
+    uniforms = rng.random((size, marginals.shape[0]))
+    bits = kernels.sample_bits(uniforms, marginals)
     return Population(members=bits)

@@ -1,4 +1,4 @@
-"""LeadingOnes, its one-bit prior-noise wrapper, and evaluation counting.
+"""LeadingOnes and its one-bit prior-noise wrapper.
 
 Fitness values are exact integers throughout; the noisy wrapper never mutates
 the evaluated individual.  Noise draws consume the random stream in a fixed
@@ -28,18 +28,6 @@ class NoiseConfig:
     @property
     def active(self) -> bool:
         return self.p > 0.0
-
-
-@dataclass
-class EvaluationCounter:
-    """Counts fitness calls attributed to a run; grows by the population size per iteration."""
-
-    evals: int = 0
-
-    def add(self, count: int) -> None:
-        if count < 0:
-            raise ValueError("evaluation count can only grow")
-        self.evals += count
 
 
 def leading_ones(x: Bitstring) -> int:
@@ -104,15 +92,8 @@ def expected_noisy_fitness(x: Bitstring, noise: NoiseConfig) -> float:
     return (1.0 - noise.p) * base + (noise.p / n) * float(flip_scores.sum())
 
 
-def evaluate_population(
-    pop: Population,
-    noise: NoiseConfig,
-    rng: np.random.Generator,
-    counter: EvaluationCounter | None = None,
-) -> Population:
-    """Fill both fitness fields; one evaluation is charged per member."""
+def evaluate_population(pop: Population, noise: NoiseConfig, rng: np.random.Generator) -> Population:
+    """Fill both fitness fields: one evaluation per member."""
     fitness_true = kernels.leading_ones_rows(pop.members)
     fitness_noisy = noisy_leading_ones_batch(pop.members, fitness_true, noise, rng)
-    if counter is not None:
-        counter.add(pop.size)
-    return pop.with_fitness(fitness_true, fitness_noisy)
+    return Population(members=pop.members, fitness_true=fitness_true, fitness_noisy=fitness_noisy)

@@ -216,6 +216,14 @@ def test_oracle_noise_expectation(capsys):
     assert report["abs_error"] <= 3 * report["standard_error"]
 
 
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_oracle_noise_expectation_rejects_too_few_samples(capsys, samples):
+    code, out, err = _run_cli(capsys, "oracle", "noise-expectation", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "samples must be at least 2" in err
+
+
 def test_oracle_tailmarginal(capsys):
     code, out, _ = _run_cli(
         capsys, "oracle", "tailmarginal", "--n", "60", "--reps", "2", "--iterations", "800", "--seed", "2",

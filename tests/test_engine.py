@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from umda_lab import NoiseConfig, UmdaConfig, engine, instrumentation, run, select_parents, sort_by_fitness, update_model
 from umda_lab.engine import ENGINES, LevelPopulation, select_levels, update_levels
-from umda_lab.model import Population, init_model
+from umda_lab.model import Population, check_marginals, clamp_vector, init_model
 
 
 def _pop(fitnesses, n=3):
@@ -77,13 +77,14 @@ def test_update_model_clamps_and_divides():
     members[:4, 2] = 1  # four ones -> 0.4
     fit = np.zeros(mu, dtype=np.int64)
     selected = Population(members=members, fitness_true=fit, fitness_noisy=fit)
-    update = update_model(selected, mu, n)
-    assert update.ones_counts[0] == 10 and update.ones_counts[1] == 0 and update.ones_counts[2] == 4
-    assert update.new_model.marginals[0] == pytest.approx(0.99)
-    assert update.new_model.marginals[1] == pytest.approx(0.01)
-    assert update.new_model.marginals[2] == pytest.approx(0.4)
+    ones = update_model(selected, mu)
+    assert ones[0] == 10 and ones[1] == 0 and ones[2] == 4
+    model = clamp_vector(ones / mu, n)  # the update ``run`` makes
+    assert model[0] == pytest.approx(0.99)
+    assert model[1] == pytest.approx(0.01)
+    assert model[2] == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        update_model(selected, mu + 1, n)
+        update_model(selected, mu + 1)
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=12), st.integers(0, 10_000))
@@ -91,9 +92,11 @@ def test_update_model_always_lands_in_borders(n, mu, seed):
     rng = np.random.default_rng(seed)
     members = (rng.random((mu, n)) < rng.random(n)).astype(np.uint8)
     fit = np.zeros(mu, dtype=np.int64)
-    update = update_model(Population(members=members, fitness_true=fit, fitness_noisy=fit), mu, n)
-    assert np.all(update.new_model.marginals >= 1.0 / n)
-    assert np.all(update.new_model.marginals <= 1.0 - 1.0 / n)
+    ones = update_model(Population(members=members, fitness_true=fit, fitness_noisy=fit), mu)
+    model = clamp_vector(ones / mu, n)
+    check_marginals(model, n)
+    assert np.all(model >= 1.0 / n)
+    assert np.all(model <= 1.0 - 1.0 / n)
 
 
 # The run-level tests below loop over both engines: every behaviour they
@@ -177,11 +180,11 @@ def test_zero_noise_sorts_by_true_fitness():
         assert not result.trace.misranked.any()
 
 
-def test_trace_thinning_keeps_final_iteration():
-    for engine in ENGINES:
-        config = UmdaConfig(
-            n=30, lam=4, mu=2, max_evals=200, seed=17, dense_until=10, thin_every=7, engine=engine
-        )
+def test_trace_thinning_keeps_final_iteration(monkeypatch):
+    monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
+    monkeypatch.setattr(engine, "THIN_EVERY", 7)
+    for engine_name in ENGINES:
+        config = UmdaConfig(n=30, lam=4, mu=2, max_evals=200, seed=17, engine=engine_name)
         result = run(config)
         assert result.iterations == 50
         recorded = result.trace.t.tolist()
@@ -215,16 +218,23 @@ def test_trace_evals_column_counts_lambda_per_iteration():
 
 
 # The truncated shape spends its 200 evaluations in 50 iterations; with
-# dense_until=10 and thin_every=6 its final iteration 49 is not a thinned
-# one, so the recorder adds it as the final row.
+# traces thinned by ``_thin`` its final iteration 49 is not a thinned one, so
+# the recorder adds it as the final row.
 _SOLVED = dict(n=12, lam=20, mu=5)
-_TRUNCATED = dict(n=30, lam=4, mu=2, max_evals=200, dense_until=10, thin_every=6)
+_TRUNCATED = dict(n=30, lam=4, mu=2, max_evals=200)
+
+
+def _thin(monkeypatch):
+    """Record iterations 0-9 densely, then every 6th."""
+    monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
+    monkeypatch.setattr(engine, "THIN_EVERY", 6)
 
 
 @pytest.mark.parametrize("shape, solved", [(_SOLVED, True), (_TRUNCATED, False)], ids=["solved", "truncated"])
 @pytest.mark.parametrize("noise_p", [0.0, 0.4])
 @pytest.mark.parametrize("engine_name", ENGINES)
-def test_untraced_run_matches_traced_run(engine_name, noise_p, shape, solved):
+def test_untraced_run_matches_traced_run(engine_name, noise_p, shape, solved, monkeypatch):
+    _thin(monkeypatch)
     # at noise 0.4 some of these seeds sample a noisy score of n before the
     # optimum, so a success test on noisy fitness would end those runs early
     for seed in range(5):
@@ -248,6 +258,7 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
         return original(pop, mu, t)
 
     monkeypatch.setattr(engine, "iteration_stats", counting)
+    _thin(monkeypatch)
     config = UmdaConfig(**_TRUNCATED, noise=NoiseConfig(0.4), seed=31, engine=engine_name)
     run(replace(config, record_trace=False))
     assert calls == []
@@ -325,8 +336,8 @@ def test_update_levels_counts_seen_and_unseen_bits():
     #           at 1 and 2 and a zero at 3, rest unseen
     pop = _levels(noisy=[3, 3], true=[3, 0], reveal_end=[3, 3], n=6)
     rng = _RecordingRng()
-    update = update_levels(pop, np.array([0, 1]), init_model(6), rng)
-    assert update.ones_counts.tolist() == [1, 2, 2, 0, 0, 0]
+    ones = update_levels(pop, np.array([0, 1]), init_model(6), rng)
+    assert ones.tolist() == [1, 2, 2, 0, 0, 0]
     # unseen bits from position 1 on (past the lowest parent's first zero)
     assert rng.trials.tolist() == [0, 0, 0, 2, 2]
-    assert update.new_model.marginals[1] == pytest.approx(1.0 - 1.0 / 6)
+    assert clamp_vector(ones / 2, 6)[1] == pytest.approx(1.0 - 1.0 / 6)

@@ -137,6 +137,19 @@ def test_mu_rule_constructor_checks_types(kwargs, path):
     assert exc.value.path == path
 
 
+@pytest.mark.parametrize("overrides, path", [
+    ({"master_seed": 1.5}, "master_seed"),
+    ({"replications": 2.5}, "replications"),
+    ({"n_values": (20.5,)}, "n_values"),
+    ({"gamma0": "0.5"}, "gamma0"),
+    ({"mu_rule": {"kind": "n"}}, "mu_rule"),
+], ids=["seed-float", "replications-float", "n-float", "gamma0-str", "mu-rule-dict"])
+def test_config_constructor_checks_types(overrides, path):
+    with pytest.raises(ConfigError) as exc:
+        _config(**overrides)
+    assert exc.value.path == path
+
+
 def test_repeated_problem_sizes_rejected():
     with pytest.raises(ConfigError) as exc:
         parse_config({"scenario": "runtime_scaling", "n_values": [20, 20, 30], "replications": 1,

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from umda_lab import clamp_to_margins, init_model, sample_individual, sample_population
-from umda_lab.model import ProbabilityVector, clamp_vector
+from umda_lab import NoiseConfig, UmdaConfig, clamp_to_margins, init_model, sample_individual, sample_population
+from umda_lab.engine import ENGINES, step
+from umda_lab.model import clamp_vector
 from umda_lab.oracle import empirical_vs_exact, exact_product_distribution
 
 
 def test_init_model_is_uniform():
     model = init_model(4)
-    np.testing.assert_array_equal(model.marginals, [0.5, 0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(model, [0.5, 0.5, 0.5, 0.5])
 
 
 def test_init_model_boundary_n2():
     model = init_model(2)
     # borders collapse to the single point 0.5, which still contains 0.5
-    np.testing.assert_array_equal(model.marginals, [0.5, 0.5])
+    np.testing.assert_array_equal(model, [0.5, 0.5])
 
 
 def test_init_model_rejects_n1():
@@ -50,10 +51,16 @@ def test_clamp_always_lands_in_borders(value, n):
 
 
 def test_probability_vector_rejects_values_outside_borders():
-    with pytest.raises(ValueError):
-        ProbabilityVector(marginals=np.array([0.5, 0.005, 0.5]), n=3)
-    with pytest.raises(ValueError):
-        ProbabilityVector(marginals=np.array([0.5, 0.5]), n=3)
+    # ``step`` checks a caller's model before drawing anything
+    for engine in ENGINES:
+        config = UmdaConfig(n=3, lam=4, mu=2, noise=NoiseConfig(0.3), engine=engine)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        for bad in ([0.5, 0.005, 0.5], [0.5, 0.995, 0.5], [0.5, np.nan, 0.5], [0.5, 0.5], [0.5] * 4):
+            with pytest.raises(ValueError):
+                step(np.array(bad), config, rng)
+        assert rng.bit_generator.state == before
+        step(np.array([1 / 3, 0.5, 2 / 3]), config, rng)  # both borders are allowed
 
 
 def test_clamp_vector_matches_scalar_clamp():
@@ -65,7 +72,7 @@ def test_clamp_vector_matches_scalar_clamp():
 
 def test_sample_individual_mean_ones_near_expectation():
     n = 100
-    model = ProbabilityVector(marginals=np.full(n, 0.99), n=n)
+    model = np.full(n, 0.99)
     rng = np.random.default_rng(11)
     draws = 2000
     ones = sum(int(sample_individual(model, rng).sum()) for _ in range(draws))
@@ -76,7 +83,7 @@ def test_sample_individual_mean_ones_near_expectation():
 
 def test_upper_border_still_leaves_zeros_possible():
     n = 5
-    model = ProbabilityVector(marginals=np.full(n, 1.0 - 1.0 / n), n=n)
+    model = np.full(n, 1.0 - 1.0 / n)
     rng = np.random.default_rng(12)
     draws = 20000
     zeros_at_first = sum(1 - int(sample_individual(model, rng)[0]) for _ in range(draws))
@@ -113,7 +120,7 @@ def test_product_distribution_chi_square():
     for row in pop.members:
         key = tuple(int(b) for b in row)
         counts[key] = counts.get(key, 0) + 1
-    exact = exact_product_distribution(model.marginals)
+    exact = exact_product_distribution(model)
     report = empirical_vs_exact(counts, exact, tv_threshold=0.01, chi_square_significance=0.001)
     assert report.passed, report
 

@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from umda_lab import (
-    EvaluationCounter,
     NoiseConfig,
     evaluate_population,
     expected_noisy_fitness,
+    kernels,
     leading_ones,
     noisy_leading_ones,
 )
@@ -146,20 +146,13 @@ def test_batch_zero_noise_returns_true_fitness_without_draws():
 def test_evaluate_population_counts_and_identity():
     model = init_model(10)
     rng = np.random.default_rng(27)
-    counter = EvaluationCounter()
-    pop = sample_population(model, 25, rng)
-    pop = evaluate_population(pop, NoiseConfig(0.0), rng, counter)
-    assert counter.evals == 25
+    sampled = sample_population(model, 25, rng)
+    pop = evaluate_population(sampled, NoiseConfig(0.0), rng)
+    assert pop.members is sampled.members
+    assert pop.fitness_true.shape == pop.fitness_noisy.shape == (25,)  # one evaluation per member
+    np.testing.assert_array_equal(pop.fitness_true, kernels.leading_ones_rows(sampled.members))
     np.testing.assert_array_equal(pop.fitness_noisy, pop.fitness_true)
-    pop2 = evaluate_population(sample_population(model, 25, rng), NoiseConfig(0.0), rng, counter)
-    assert counter.evals == 50
-    assert pop2.fitness_true is not None
-
-
-def test_counter_rejects_negative():
-    counter = EvaluationCounter()
-    with pytest.raises(ValueError):
-        counter.add(-1)
+    assert sampled.fitness_true is None  # the sampled population is left unscored
 
 
 def test_population_fitness_length_validated():

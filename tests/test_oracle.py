@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from umda_lab import NoiseConfig, ProbabilityVector, UmdaConfig, kernels, run
+from umda_lab import NoiseConfig, UmdaConfig, kernels, run
 from umda_lab.engine import ENGINES, step
 from umda_lab.instrumentation import thresholds
 from umda_lab.oracle import (
@@ -234,10 +234,9 @@ def test_exact_transition_rejects_infeasible_before_allocating():
 def _transition_step(marginals, noise_p, engine, seed, shift=0.0):
     n = len(marginals)
     sampled = np.clip(np.asarray(marginals) + shift, 1.0 / n, 1.0 - 1.0 / n)
-    model = ProbabilityVector(marginals=sampled, n=n)
     config = UmdaConfig(n=n, lam=4, mu=2, noise=NoiseConfig(noise_p), engine=engine)
     rng = np.random.default_rng(seed)
-    return lambda: step(model, config, rng).ones_counts
+    return lambda: step(sampled, config, rng)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -292,7 +291,7 @@ def test_tail_bits_show_no_pairwise_correlation():
     # finite-sample check that tail offspring bits behave pairwise
     # independently over a stalled run (correlations near zero)
     from umda_lab import NoiseConfig, select_parents, sort_by_fitness, update_model
-    from umda_lab.model import init_model, sample_population
+    from umda_lab.model import clamp_vector, init_model, sample_population
     from umda_lab.objectives import evaluate_population
 
     n, lam, mu = 30, 16, 8
@@ -305,7 +304,7 @@ def test_tail_bits_show_no_pairwise_correlation():
         pop = evaluate_population(sample_population(model, lam, rng), NoiseConfig(0.0), rng)
         tail_bits.append(pop.members[:, cutoff:].astype(np.float64))
         parents = select_parents(sort_by_fitness(pop), mu)
-        model = update_model(parents, mu, n).new_model
+        model = clamp_vector(update_model(parents, mu) / mu, n)
     samples = np.concatenate(tail_bits, axis=0)
     corr = np.corrcoef(samples, rowvar=False)
     off_diagonal = corr[~np.eye(corr.shape[0], dtype=bool)]
