@@ -26,12 +26,19 @@ from .experiments import (
     ExperimentConfig,
     MuRule,
     parse_config,
+    resolve_params,
     run_experiment,
     write_bundle,
     write_trace_csv,
 )
 from .model import init_model
 from .objectives import NoiseConfig, expected_noisy_fitness, leading_ones, noisy_leading_ones_batch
+
+# ``oracle noise-expectation`` scores ``samples`` copies of one n-bit string.
+# Each sample takes about 2n + 32 bytes: its copy, its possibly flipped copy,
+# and four 8-byte entries (coin, true and noisy score, a statistics
+# temporary).  Requests above the cap are rejected before anything is allocated.
+NOISE_SAMPLE_MAX_BYTES = 2**27
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,6 +138,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _oracle_chain(args: argparse.Namespace) -> dict:
     n = args.n if args.n is not None else 3
+    if n < 2:
+        raise ValueError(f"problem size must be at least 2, got {n}")
     lam = args.lam
     lo, hi = 1.0 / n, 1.0 - 1.0 / n
     grid_values = sorted({lo, 0.5, hi})
@@ -183,6 +192,10 @@ def _oracle_tailmarginal(args: argparse.Namespace) -> dict:
         mu_rule=MuRule(kind="n"),
         iterations_cap=args.iterations,
     )
+    (params,) = resolve_params(config)
+    if params.tail_start is None:
+        cutoff = math.floor(params.levels.beta + 2.0)
+        raise ValueError(f"n={n} leaves no tail: floor(beta + 2) = {cutoff} >= n")
     result = run_experiment(config)
     report_obj = oracle.tail_marginal_frequency_test(result.traces, result.params_by_n[n].levels)
     passed = 0.45 <= report_obj.mean <= 0.55
@@ -204,6 +217,8 @@ def _oracle_noise_expectation(args: argparse.Namespace) -> dict:
     samples = args.samples if args.samples is not None else 200_000
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    if samples * (2 * n + 32) > NOISE_SAMPLE_MAX_BYTES:
+        raise ValueError(f"infeasible sample: {samples} samples of n={n} bits (cap {NOISE_SAMPLE_MAX_BYTES} bytes)")
     rng = np.random.default_rng(args.seed)
     bits = (rng.random(n) < init_model(n)).astype(np.uint8)
     noise = NoiseConfig(args.p)

@@ -1,11 +1,12 @@
 """The sample / score / select / update loop, on bits or on leading-ones levels.
 
 The model is a plain float64 array of n marginals.  Two engines share one
-loop: budget, success check, trace recording and marginal snapshots.  Only
-the sample/score step and the ones-count step differ.  A ones-count step
-returns the parents' per-position ones counts, and ``run`` sets the next
-model to those counts over mu, clamped to the borders and checked against
-them.
+loop: budget, success check, trace recording, marginal snapshots and
+selection, which ``sort_by_fitness`` and ``select_parents`` do on the noisy
+scores of either engine's population.  Only the sample/score step and the
+ones-count step differ.  A ones-count step returns the parents'
+per-position ones counts, and ``run`` sets the next model to those counts
+over mu, clamped to the borders and checked against them.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -95,11 +96,6 @@ class UmdaConfig:
         return self.mu / self.lam
 
 
-def _require_non_increasing(fitness: np.ndarray) -> None:
-    if (fitness[1:] > fitness[:-1]).any():
-        raise ValueError("sorted population must have non-increasing fitness")
-
-
 @dataclass(frozen=True)
 class LevelPopulation:
     """Individuals of the level engine, known only as far as scoring looked.
@@ -124,7 +120,7 @@ class LevelPopulation:
 
 @dataclass(frozen=True)
 class Trace:
-    """Thinned per-iteration statistics in column form.
+    """Thinned per-iteration statistics in column form, in ``TRACE_HEADER`` order.
 
     ``t`` holds the recorded 0-based iteration indices; ``evals`` is the
     cumulative evaluation count at the end of each recorded iteration.
@@ -136,8 +132,8 @@ class Trace:
     z_mu: np.ndarray
     z_star: np.ndarray
     best_true: np.ndarray
-    misranked: np.ndarray
     evals: np.ndarray
+    misranked: np.ndarray
     tail_start: Optional[int] = None
     marginals_tail: Optional[np.ndarray] = None
 
@@ -157,21 +153,16 @@ class RunResult:
 
 
 class _TraceRecorder:
-    """Collects the trace rows of one run.
+    """Collects the trace rows of one run, each a tuple in ``TRACE_HEADER`` order.
 
     ``run`` computes an iteration's ``IterationStats`` only when the recorder
     keeps that iteration: every one below ``DENSE_UNTIL``, every
     ``THIN_EVERY``-th after it, and the final one.
     """
 
-    def __init__(self, config: UmdaConfig) -> None:
-        self._config = config
-        self._t: list[int] = []
-        self._z_mu: list[int] = []
-        self._z_star: list[int] = []
-        self._best: list[int] = []
-        self._misranked: list[int] = []
-        self._evals: list[int] = []
+    def __init__(self, tail_start: Optional[int]) -> None:
+        self._tail_start = tail_start
+        self._rows: list[tuple[int, ...]] = []
         self._tails: list[np.ndarray] = []
 
     def keeps(self, t: int) -> bool:
@@ -179,55 +170,38 @@ class _TraceRecorder:
         return t < DENSE_UNTIL or t % THIN_EVERY == 0
 
     def observe(self, stats: IterationStats, marginals: np.ndarray, evals: int) -> None:
-        self._t.append(stats.t)
-        self._z_mu.append(stats.z_mu)
-        self._z_star.append(stats.z_star)
-        self._best.append(stats.best_true)
-        self._misranked.append(stats.misranked)
-        self._evals.append(evals)
-        if self._config.track_marginals_from is not None:
-            self._tails.append(marginals[self._config.track_marginals_from:].copy())
+        self._rows.append((stats.t, stats.z_mu, stats.z_star, stats.best_true, evals, stats.misranked))
+        if self._tail_start is not None:
+            self._tails.append(marginals[self._tail_start:].copy())
 
     def build(self) -> Trace:
-        tail_start = self._config.track_marginals_from
-        return Trace(
-            t=np.array(self._t, dtype=np.int64),
-            z_mu=np.array(self._z_mu, dtype=np.int64),
-            z_star=np.array(self._z_star, dtype=np.int64),
-            best_true=np.array(self._best, dtype=np.int64),
-            misranked=np.array(self._misranked, dtype=np.int64),
-            evals=np.array(self._evals, dtype=np.int64),
-            tail_start=tail_start,
-            marginals_tail=np.array(self._tails) if tail_start is not None else None,
-        )
+        tails = np.array(self._tails) if self._tail_start is not None else None
+        return Trace(*np.array(self._rows, dtype=np.int64).reshape(-1, 6).T,
+                     tail_start=self._tail_start, marginals_tail=tails)
 
 
-def sort_by_fitness(pop: Population) -> Population:
-    """Stable sort by noisy fitness, non-increasing; ties keep sampling order."""
-    if pop.fitness_noisy is None or pop.fitness_true is None:
-        raise ValueError("population must be evaluated before sorting")
+def sort_by_fitness(pop: Population | LevelPopulation) -> np.ndarray:
+    """Indices by noisy fitness, non-increasing; ties keep sampling order.
+
+    Reads only ``pop.fitness_noisy``, so it serves both engines.
+    """
     order = np.argsort(-pop.fitness_noisy, kind="stable")
-    fitness_noisy = pop.fitness_noisy[order]
-    _require_non_increasing(fitness_noisy)
-    return Population(members=pop.members[order], fitness_true=pop.fitness_true[order], fitness_noisy=fitness_noisy)
+    ranked = pop.fitness_noisy[order]
+    if (ranked[1:] > ranked[:-1]).any():
+        raise ValueError("sorted population must have non-increasing fitness")
+    return order
 
 
-def select_parents(pop: Population, mu: int) -> Population:
-    """The mu fittest individuals (by noisy fitness) in sorted order."""
-    if mu > pop.size:
-        raise ValueError(f"cannot select {mu} parents from {pop.size} individuals")
-    return Population(
-        members=pop.members[:mu],
-        fitness_true=pop.fitness_true[:mu],
-        fitness_noisy=pop.fitness_noisy[:mu],
-    )
+def select_parents(order: np.ndarray, mu: int) -> np.ndarray:
+    """The indices of the mu fittest individuals, given ``sort_by_fitness`` order."""
+    if mu > order.shape[0]:
+        raise ValueError(f"cannot select {mu} parents from {order.shape[0]} individuals")
+    return order[:mu]
 
 
-def update_model(selected: Population, mu: int) -> np.ndarray:
+def update_model(pop: Population, parents: np.ndarray) -> np.ndarray:
     """The parents' per-position ones counts, which ``run`` turns into the next model."""
-    if selected.size != mu:
-        raise ValueError(f"expected exactly {mu} selected individuals, got {selected.size}")
-    return kernels.column_ones_counts(selected.members, np.arange(mu))
+    return kernels.column_ones_counts(pop.members, parents)
 
 
 def sample_levels(marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.random.Generator) -> LevelPopulation:
@@ -261,13 +235,6 @@ def sample_levels(marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.
                 reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
                 noisy[hit] = reveal_end[hit]
     return LevelPopulation(n=n, fitness_true=lo, fitness_noisy=noisy, reveal_end=reveal_end)
-
-
-def select_levels(pop: LevelPopulation, mu: int) -> np.ndarray:
-    """Indices of the mu fittest by noisy fitness; ties keep sampling order."""
-    order = np.argsort(-pop.fitness_noisy, kind="stable")
-    _require_non_increasing(pop.fitness_noisy[order])
-    return order[:mu]
 
 
 def update_levels(
@@ -308,7 +275,7 @@ def run(config: UmdaConfig) -> RunResult:
     """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
-    recorder = _TraceRecorder(config) if config.record_trace else None
+    recorder = _TraceRecorder(config.track_marginals_from) if config.record_trace else None
     iterations = 0
     while True:
         pop = _sample(model, config, rng)
@@ -354,6 +321,7 @@ def _sample(marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator)
 
 
 def _update(pop, marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator) -> np.ndarray:
+    parents = select_parents(sort_by_fitness(pop), config.mu)
     if config.engine == "bits":
-        return update_model(select_parents(sort_by_fitness(pop), config.mu), config.mu)
-    return update_levels(pop, select_levels(pop, config.mu), marginals, rng)
+        return update_model(pop, parents)
+    return update_levels(pop, parents, marginals, rng)

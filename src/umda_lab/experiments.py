@@ -30,7 +30,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -91,12 +91,7 @@ class MuRule:
         return int(self.mu)
 
     def to_dict(self) -> dict:
-        data = {"kind": self.kind}
-        if self.c is not None:
-            data["c"] = self.c
-        if self.mu is not None:
-            data["mu"] = self.mu
-        return data
+        return {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
 
 
 @dataclass(frozen=True)
@@ -160,21 +155,10 @@ class ExperimentConfig:
                 raise ConfigError(name, "must lie in (0, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n_values": list(self.n_values),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "gamma0": self.gamma0,
-            "mu_rule": self.mu_rule.to_dict(),
-            "noise_p": self.noise_p,
-            "iterations_cap": self.iterations_cap,
-            "evals_cap": self.evals_cap,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "out_dir": self.out_dir,
-            "engine": self.engine,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["n_values"] = list(self.n_values)
+        data["mu_rule"] = self.mu_rule.to_dict()
+        return data
 
 
 _FIELD_TYPES = {
@@ -583,14 +567,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> TraceExperimentRe
     )
 
 
-def _trace_rows(trace: Trace):
-    for i in range(len(trace)):
-        yield (trace.t[i], trace.z_mu[i], trace.z_star[i], trace.best_true[i],
-               trace.evals[i], trace.misranked[i])
-
-
 def write_trace_csv(path: Path, trace: Trace) -> None:
-    write_csv(path, TRACE_HEADER, _trace_rows(trace))
+    columns = (trace.t, trace.z_mu, trace.z_star, trace.best_true, trace.evals, trace.misranked)
+    write_csv(path, TRACE_HEADER, zip(*(column.tolist() for column in columns)))
 
 
 def write_bundle(result, out_dir: Path) -> dict[str, Path]:

@@ -64,19 +64,13 @@ class TraceSummary:
     window: tuple[int, int]
 
 
-def level_counts(pop: Population) -> tuple[np.ndarray, np.ndarray]:
-    """Count individuals per leading-ones level.
+def level_counts(fitness: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Count individuals per leading-ones level from their true fitness.
 
     Returns full-length vectors ``(C, D)`` where ``C[i-1]`` is the number of
-    members with at least ``i`` leading ones and ``D[i-1]`` the number with
-    exactly ``i-1``.  Requires true fitness to be evaluated.
+    individuals with at least ``i`` leading ones and ``D[i-1]`` the number
+    with exactly ``i-1``.
     """
-    if pop.fitness_true is None:
-        raise ValueError("true fitness must be evaluated before counting levels")
-    return level_counts_from_fitness(pop.fitness_true, pop.n)
-
-
-def level_counts_from_fitness(fitness: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     per_value = np.bincount(fitness, minlength=n + 1)
     at_least = np.cumsum(per_value[::-1])[::-1]  # at_least[v] = #{fitness >= v}
     c = at_least[1:]
@@ -94,8 +88,6 @@ def z_values(c: np.ndarray, mu: int) -> tuple[int, int]:
 
 def noisy_misrank_count(pop: Population, j: int) -> int:
     """Individuals whose noisy score reaches level j while their true score does not."""
-    if pop.fitness_true is None or pop.fitness_noisy is None:
-        raise ValueError("both fitness fields must be evaluated")
     if pop.fitness_noisy is pop.fitness_true:  # no noise drawn
         return 0
     return int(np.count_nonzero((pop.fitness_true < j) & (pop.fitness_noisy >= j)))
@@ -108,7 +100,7 @@ def iteration_stats(pop: Population, mu: int, t: int) -> IterationStats:
     level engine's ``LevelPopulation`` is scored the same way as a
     bit-level ``Population``.
     """
-    c, d = level_counts(pop)
+    c, d = level_counts(pop.fitness_true, pop.n)
     z_mu, z_star = z_values(c, mu)
     # counting identity: C[i-1] = C[i] + D[i], anchored at C[0] = population size
     previous = np.concatenate(([pop.size], c[:-1]))

@@ -4,12 +4,14 @@ A bitstring is a 1-d ``numpy`` array of 0/1 values (dtype ``uint8``).  The
 probabilistic model is a plain float64 array of n marginals, one independent
 one-probability per position, clamped to the borders ``[1/n, 1 - 1/n]`` so
 no marginal can fix at 0 or 1; ``check_marginals`` checks that invariant.
+``sample_population`` draws a (size, n) bit matrix, and
+``objectives.evaluate_population`` scores it into a ``Population``, so a
+``Population`` always carries both fitness arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,24 +22,22 @@ Bitstring = np.ndarray
 
 @dataclass(frozen=True)
 class Population:
-    """Sampled individuals with fitness fields unset until evaluation.
+    """Sampled individuals and their scores, one evaluation each.
 
-    ``members`` has shape (size, n); fitness arrays, once set, hold one
-    integer per member.  ``fitness_noisy`` is the score used for sorting and
-    equals ``fitness_true`` when no noise is configured.
+    ``members`` has shape (size, n); both fitness arrays hold one integer per
+    member.  ``fitness_noisy`` is the score used for selection and equals
+    ``fitness_true`` when no noise is configured.
     """
 
     members: np.ndarray
-    fitness_true: Optional[np.ndarray] = None
-    fitness_noisy: Optional[np.ndarray] = None
+    fitness_true: np.ndarray
+    fitness_noisy: np.ndarray
 
     def __post_init__(self) -> None:
         if self.members.ndim != 2:
             raise ValueError("members must be a (size, n) matrix")
-        for name in ("fitness_true", "fitness_noisy"):
-            values = getattr(self, name)
-            if values is not None and values.shape != (self.size,):
-                raise ValueError(f"{name} must have one entry per member")
+        if self.fitness_true.shape != (self.size,) or self.fitness_noisy.shape != (self.size,):
+            raise ValueError("fitness arrays must have one entry per member")
 
     @property
     def size(self) -> int:
@@ -87,14 +87,12 @@ def sample_individual(marginals: np.ndarray, rng: np.random.Generator) -> Bitstr
     return (rng.random(marginals.shape[0]) < marginals).astype(np.uint8)
 
 
-def sample_population(marginals: np.ndarray, size: int, rng: np.random.Generator) -> Population:
-    """Draw ``size`` independent individuals from the product distribution.
+def sample_population(marginals: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` independent individuals from the product distribution, as a (size, n) bit matrix.
 
     Consumes exactly one (size, n) uniform block from ``rng`` in row-major
     order, so the stream position after the call is backend-independent.
     """
     if size < 1:
         raise ValueError(f"population size must be at least 1, got {size}")
-    uniforms = rng.random((size, marginals.shape[0]))
-    bits = kernels.sample_bits(uniforms, marginals)
-    return Population(members=bits)
+    return kernels.sample_bits(rng.random((size, marginals.shape[0])), marginals)

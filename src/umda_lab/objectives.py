@@ -3,6 +3,7 @@
 Fitness values are exact integers throughout; the noisy wrapper never mutates
 the evaluated individual.  Noise draws consume the random stream in a fixed
 documented order (noise coin first, then flip index) so runs replay exactly.
+``evaluate_population`` scores a sampled bit matrix into a ``Population``.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def expected_noisy_fitness(x: Bitstring, noise: NoiseConfig) -> float:
     return (1.0 - noise.p) * base + (noise.p / n) * float(flip_scores.sum())
 
 
-def evaluate_population(pop: Population, noise: NoiseConfig, rng: np.random.Generator) -> Population:
-    """Fill both fitness fields: one evaluation per member."""
-    fitness_true = kernels.leading_ones_rows(pop.members)
-    fitness_noisy = noisy_leading_ones_batch(pop.members, fitness_true, noise, rng)
-    return Population(members=pop.members, fitness_true=fitness_true, fitness_noisy=fitness_noisy)
+def evaluate_population(bits: np.ndarray, noise: NoiseConfig, rng: np.random.Generator) -> Population:
+    """Score a (size, n) bit matrix: one evaluation per row."""
+    fitness_true = kernels.leading_ones_rows(bits)
+    fitness_noisy = noisy_leading_ones_batch(bits, fitness_true, noise, rng)
+    return Population(members=bits, fitness_true=fitness_true, fitness_noisy=fitness_noisy)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from umda_lab import experiments
 from umda_lab.cli import main
 from umda_lab.reporting import RUNTIME_HEADER, TRACE_HEADER, read_csv
 
@@ -199,6 +200,14 @@ def test_oracle_chain_rejects_infeasible(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_oracle_chain_rejects_problem_sizes_below_two(capsys, n):
+    code, out, err = _run_cli(capsys, "oracle", "chain", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "problem size must be at least 2" in err
+
+
 def test_oracle_maxlo_prints_value(capsys):
     code, out, _ = _run_cli(capsys, "oracle", "maxlo", "--n", "3", "--k", "2")
     assert code == 0
@@ -224,6 +233,21 @@ def test_oracle_noise_expectation_rejects_too_few_samples(capsys, samples):
     assert "samples must be at least 2" in err
 
 
+def test_oracle_noise_expectation_rejects_oversized_samples_before_allocating(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = _run_cli(capsys, "oracle", "noise-expectation", "--samples", "100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "infeasible" in err
+    assert peak < 1_000_000  # the tiled copies alone would take 2 GB
+
+
 def test_oracle_tailmarginal(capsys):
     code, out, _ = _run_cli(
         capsys, "oracle", "tailmarginal", "--n", "60", "--reps", "2", "--iterations", "800", "--seed", "2",
@@ -232,6 +256,16 @@ def test_oracle_tailmarginal(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert 0.45 <= report["mean"] <= 0.55
+
+
+def test_oracle_tailmarginal_rejects_sizes_without_a_tail(capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "run", lambda config: runs.append(config))
+    code, out, err = _run_cli(capsys, "oracle", "tailmarginal", "--n", "12", "--reps", "2")
+    assert code == 2
+    assert out == ""
+    assert "n=12" in err and "floor(beta + 2) = 12" in err
+    assert runs == []  # rejected before any replication runs
 
 
 @pytest.mark.parametrize("noise_p", ["0", "0.3"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umda_lab import NoiseConfig, UmdaConfig, engine, instrumentation, run, select_parents, sort_by_fitness, update_model
-from umda_lab.engine import ENGINES, LevelPopulation, select_levels, update_levels
+from umda_lab.engine import ENGINES, LevelPopulation, update_levels
 from umda_lab.model import Population, check_marginals, clamp_vector, init_model
 
 
@@ -35,56 +35,57 @@ def test_config_validation():
 
 
 def test_sort_stable_descending_with_ties():
-    pop = _pop([2, 5, 5, 0])
-    ordered = sort_by_fitness(pop)
-    assert ordered.fitness_true.tolist() == [1, 2, 0, 3]
-    assert ordered.fitness_noisy.tolist() == [5, 5, 2, 0]
+    assert sort_by_fitness(_pop([2, 5, 5, 0])).tolist() == [1, 2, 0, 3]
 
 
 def test_sort_idempotent_on_sorted_input():
-    pop = _pop([7, 4, 2, 1])
-    ordered = sort_by_fitness(pop)
-    assert ordered.fitness_true.tolist() == [0, 1, 2, 3]
+    assert sort_by_fitness(_pop([7, 4, 2, 1])).tolist() == [0, 1, 2, 3]
 
 
 def test_sort_all_equal_keeps_sampling_order():
-    pop = _pop([3, 3, 3, 3])
-    ordered = sort_by_fitness(pop)
-    assert ordered.fitness_true.tolist() == [0, 1, 2, 3]
+    assert sort_by_fitness(_pop([3, 3, 3, 3])).tolist() == [0, 1, 2, 3]
 
 
 def test_select_parents_takes_prefix():
-    ordered = sort_by_fitness(_pop([3, 2, 1, 0]))
-    parents = select_parents(ordered, 2)
-    assert parents.fitness_noisy.tolist() == [3, 2]
-    everyone = select_parents(ordered, 4)
-    assert everyone.size == 4
+    pop = _pop([0, 2, 1, 3])
+    order = sort_by_fitness(pop)
+    parents = select_parents(order, 2)
+    assert pop.fitness_noisy[parents].tolist() == [3, 2]
+    assert select_parents(order, 4).tolist() == [3, 1, 2, 0]
     with pytest.raises(ValueError):
-        select_parents(ordered, 5)
+        select_parents(order, 5)
 
 
 def test_select_parents_tie_rule():
-    ordered = sort_by_fitness(_pop([3, 3, 3, 0]))
-    parents = select_parents(ordered, 2)
-    assert parents.fitness_true.tolist() == [0, 1]
-    assert parents.fitness_noisy.tolist() == [3, 3]
+    pop = _pop([3, 3, 3, 0])
+    parents = select_parents(sort_by_fitness(pop), 2)
+    assert parents.tolist() == [0, 1]
+    assert pop.fitness_noisy[parents].tolist() == [3, 3]
 
 
 def test_update_model_clamps_and_divides():
     n, mu = 100, 10
-    members = np.zeros((mu, n), dtype=np.uint8)
-    members[:, 0] = 1  # all ones -> clamps to upper border
+    members = np.zeros((mu + 2, n), dtype=np.uint8)
+    members[:mu, 0] = 1  # all parents one -> clamps to upper border
     members[:4, 2] = 1  # four ones -> 0.4
-    fit = np.zeros(mu, dtype=np.int64)
-    selected = Population(members=members, fitness_true=fit, fitness_noisy=fit)
-    ones = update_model(selected, mu)
+    members[mu:] = 1  # two rows that are not parents
+    fit = np.zeros(mu + 2, dtype=np.int64)
+    pop = Population(members=members, fitness_true=fit, fitness_noisy=fit)
+    ones = update_model(pop, np.arange(mu))
     assert ones[0] == 10 and ones[1] == 0 and ones[2] == 4
     model = clamp_vector(ones / mu, n)  # the update ``run`` makes
     assert model[0] == pytest.approx(0.99)
     assert model[1] == pytest.approx(0.01)
     assert model[2] == pytest.approx(0.4)
-    with pytest.raises(ValueError):
-        update_model(selected, mu + 1)
+
+
+def test_update_model_reads_unsorted_parent_rows():
+    rng = np.random.default_rng(5)
+    members = (rng.random((9, 7)) < 0.5).astype(np.uint8)
+    fit = np.zeros(9, dtype=np.int64)
+    pop = Population(members=members, fitness_true=fit, fitness_noisy=fit)
+    parents = np.array([7, 2, 5, 0])
+    np.testing.assert_array_equal(update_model(pop, parents), pop.members[parents].sum(0))
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=12), st.integers(0, 10_000))
@@ -92,7 +93,7 @@ def test_update_model_always_lands_in_borders(n, mu, seed):
     rng = np.random.default_rng(seed)
     members = (rng.random((mu, n)) < rng.random(n)).astype(np.uint8)
     fit = np.zeros(mu, dtype=np.int64)
-    ones = update_model(Population(members=members, fitness_true=fit, fitness_noisy=fit), mu)
+    ones = update_model(Population(members=members, fitness_true=fit, fitness_noisy=fit), np.arange(mu))
     model = clamp_vector(ones / mu, n)
     check_marginals(model, n)
     assert np.all(model >= 1.0 / n)
@@ -267,14 +268,35 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     assert calls[-1] == 49
 
 
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_both_engines_select_through_one_path(engine_name, monkeypatch):
+    calls = {"sort": 0, "select": 0}
+    sort, select = engine.sort_by_fitness, engine.select_parents
+
+    def counting_sort(pop):
+        calls["sort"] += 1
+        return sort(pop)
+
+    def counting_select(order, mu):
+        calls["select"] += 1
+        return select(order, mu)
+
+    monkeypatch.setattr(engine, "sort_by_fitness", counting_sort)
+    monkeypatch.setattr(engine, "select_parents", counting_select)
+    config = UmdaConfig(**_TRUNCATED, noise=NoiseConfig(0.4), seed=31, engine=engine_name)
+    result = run(replace(config, record_trace=False))
+    assert result.iterations == 50
+    assert calls == {"sort": 49, "select": 49}  # the final iteration does not select
+
+
 @contextmanager
 def recorded_level_counts():
     """Collect the full-length (C, D) vectors of every ``iteration_stats`` call."""
     counts = []
     original = instrumentation.level_counts
 
-    def recording(pop):
-        counts.append(original(pop))
+    def recording(fitness, n):
+        counts.append(original(fitness, n))
         return counts[-1]
 
     instrumentation.level_counts = recording
@@ -317,9 +339,9 @@ def _levels(noisy, true=None, reveal_end=None, n=6):
 
 
 def test_select_levels_is_stable_top_mu():
-    assert select_levels(_levels([2, 5, 5, 0]), 2).tolist() == [1, 2]
-    assert select_levels(_levels([3, 3, 3, 0]), 2).tolist() == [0, 1]
-    assert select_levels(_levels([7, 4, 2, 1]), 3).tolist() == [0, 1, 2]
+    assert select_parents(sort_by_fitness(_levels([2, 5, 5, 0])), 2).tolist() == [1, 2]
+    assert select_parents(sort_by_fitness(_levels([3, 3, 3, 0])), 2).tolist() == [0, 1]
+    assert select_parents(sort_by_fitness(_levels([7, 4, 2, 1])), 3).tolist() == [0, 1, 2]
 
 
 class _RecordingRng:

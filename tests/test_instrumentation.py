@@ -17,7 +17,7 @@ from umda_lab import (
     thresholds,
     z_values,
 )
-from umda_lab.instrumentation import ThresholdParams, level_counts_from_fitness, low_pressure_condition
+from umda_lab.instrumentation import ThresholdParams, low_pressure_condition
 from umda_lab.model import Population
 
 
@@ -37,25 +37,20 @@ def _prefix(row):
 
 def test_level_counts_worked_example():
     pop = _evaluated([[1, 1, 1], [1, 1, 0], [0, 1, 1], [0, 0, 0]])
-    c, d = level_counts(pop)
+    c, d = level_counts(pop.fitness_true, pop.n)
     assert c.tolist() == [2, 2, 1]
     assert d.tolist() == [2, 0, 1]
 
 
 def test_level_counts_all_zeros_and_all_ones():
     zeros = _evaluated([[0, 0, 0]] * 5)
-    c, d = level_counts(zeros)
+    c, d = level_counts(zeros.fitness_true, zeros.n)
     assert c.tolist() == [0, 0, 0]
     assert d.tolist() == [5, 0, 0]
     ones = _evaluated([[1, 1, 1]] * 5)
-    c, d = level_counts(ones)
+    c, d = level_counts(ones.fitness_true, ones.n)
     assert c.tolist() == [5, 5, 5]
     assert d.tolist() == [0, 0, 0]
-
-
-def test_level_counts_requires_fitness():
-    with pytest.raises(ValueError):
-        level_counts(Population(members=np.zeros((2, 3), dtype=np.uint8)))
 
 
 def test_z_values_examples():
@@ -68,7 +63,7 @@ def test_z_values_examples():
 def test_counting_identity_and_depth_order(fitness, mu):
     n = 8
     fit = np.array(fitness, dtype=np.int64)
-    c, d = level_counts_from_fitness(fit, n)
+    c, d = level_counts(fit, n)
     previous = np.concatenate(([len(fitness)], c[:-1]))
     np.testing.assert_array_equal(previous, c + d)
     z_mu, z_star = z_values(c, mu)
@@ -168,7 +163,7 @@ def test_iteration_stats_truncates_levels_at_deepest():
     stats = iteration_stats(pop, mu=2, t=4)
     assert stats.t == 4
     assert stats.z_star == 2
-    c, d = level_counts(pop)
+    c, d = level_counts(pop.fitness_true, pop.n)
     assert c.tolist() == [2, 1, 0]  # every level past z_star is empty
     assert d.tolist() == [1, 1, 1]
     assert stats.best_true == 2

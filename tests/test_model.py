@@ -95,9 +95,8 @@ def test_upper_border_still_leaves_zeros_possible():
 def test_sample_population_shape_and_unset_fitness():
     model = init_model(8)
     rng = np.random.default_rng(0)
-    pop = sample_population(model, 1, rng)
-    assert pop.size == 1 and pop.n == 8
-    assert pop.fitness_true is None and pop.fitness_noisy is None
+    bits = sample_population(model, 1, rng)
+    assert bits.shape == (1, 8) and bits.dtype == np.uint8  # a bare bit matrix carries no fitness
     with pytest.raises(ValueError):
         sample_population(model, 0, rng)
 
@@ -105,7 +104,7 @@ def test_sample_population_shape_and_unset_fitness():
 def test_sample_population_mean_ones():
     model = init_model(100)
     rng = np.random.default_rng(13)
-    totals = [sample_population(model, 20, rng).members.sum(axis=1).mean() for _ in range(200)]
+    totals = [sample_population(model, 20, rng).sum(axis=1).mean() for _ in range(200)]
     mean = float(np.mean(totals))
     sigma = math.sqrt(100 * 0.25 / (20 * 200))
     assert abs(mean - 50.0) <= 3 * sigma
@@ -115,9 +114,9 @@ def test_product_distribution_chi_square():
     # all eight length-3 bitstrings must appear with probability 1/8
     model = init_model(3)
     rng = np.random.default_rng(14)
-    pop = sample_population(model, 100_000, rng)
+    bits = sample_population(model, 100_000, rng)
     counts = {}
-    for row in pop.members:
+    for row in bits:
         key = tuple(int(b) for b in row)
         counts[key] = counts.get(key, 0) + 1
     exact = exact_product_distribution(model)
@@ -133,8 +132,8 @@ def test_first_level_count_matches_binomial():
     populations = 100_000
     counts = {}
     for _ in range(populations):
-        pop = sample_population(model, lam, rng)
-        key = (int(pop.members[:, 0].sum()),)
+        bits = sample_population(model, lam, rng)
+        key = (int(bits[:, 0].sum()),)
         counts[key] = counts.get(key, 0) + 1
     pmf = {(k,): math.comb(lam, k) * 0.5**lam for k in range(lam + 1)}
     from umda_lab.oracle import ExactDistribution
@@ -149,22 +148,22 @@ def test_marginal_half_frequency_bound():
     model = init_model(2)
     rng = np.random.default_rng(16)
     draws = 120_000
-    pop = sample_population(model, draws, rng)
-    freq = float(pop.members[:, 0].mean())
+    bits = sample_population(model, draws, rng)
+    freq = float(bits[:, 0].mean())
     sigma = math.sqrt(0.25 / draws)
     assert abs(freq - 0.5) <= 3 * sigma
 
 
 def test_sampling_is_reproducible():
     model = init_model(40)
-    pop_a = sample_population(model, 30, np.random.default_rng(99))
-    pop_b = sample_population(model, 30, np.random.default_rng(99))
-    np.testing.assert_array_equal(pop_a.members, pop_b.members)
+    bits_a = sample_population(model, 30, np.random.default_rng(99))
+    bits_b = sample_population(model, 30, np.random.default_rng(99))
+    np.testing.assert_array_equal(bits_a, bits_b)
 
 
 def test_individual_and_population_consume_identical_streams():
     model = init_model(12)
-    pop = sample_population(model, 6, np.random.default_rng(7))
+    bits = sample_population(model, 6, np.random.default_rng(7))
     rng = np.random.default_rng(7)
     singles = np.stack([sample_individual(model, rng) for _ in range(6)])
-    np.testing.assert_array_equal(pop.members, singles)
+    np.testing.assert_array_equal(bits, singles)

@@ -146,13 +146,12 @@ def test_batch_zero_noise_returns_true_fitness_without_draws():
 def test_evaluate_population_counts_and_identity():
     model = init_model(10)
     rng = np.random.default_rng(27)
-    sampled = sample_population(model, 25, rng)
-    pop = evaluate_population(sampled, NoiseConfig(0.0), rng)
-    assert pop.members is sampled.members
+    bits = sample_population(model, 25, rng)
+    pop = evaluate_population(bits, NoiseConfig(0.0), rng)
+    assert pop.members is bits
     assert pop.fitness_true.shape == pop.fitness_noisy.shape == (25,)  # one evaluation per member
-    np.testing.assert_array_equal(pop.fitness_true, kernels.leading_ones_rows(sampled.members))
+    np.testing.assert_array_equal(pop.fitness_true, kernels.leading_ones_rows(bits))
     np.testing.assert_array_equal(pop.fitness_noisy, pop.fitness_true)
-    assert sampled.fitness_true is None  # the sampled population is left unscored
 
 
 def test_population_fitness_length_validated():
