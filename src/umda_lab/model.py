@@ -4,9 +4,9 @@ A bitstring is a 1-d ``numpy`` array of 0/1 values (dtype ``uint8``).  The
 probabilistic model is a plain float64 array of n marginals, one independent
 one-probability per position, clamped to the borders ``[1/n, 1 - 1/n]`` so
 no marginal can fix at 0 or 1; ``check_marginals`` checks that invariant.
-``sample_population`` draws a (size, n) bit matrix, and
-``objectives.evaluate_population`` scores it into a ``Population``, so a
-``Population`` always carries both fitness arrays.
+``sample_population`` draws a (size, n) bit matrix, a bounded block of
+uniforms at a time, and ``objectives.evaluate_population`` scores it into a
+``Population``, so a ``Population`` always carries both fitness arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 from . import kernels
 
 Bitstring = np.ndarray
+
+_SAMPLE_BLOCK_DOUBLES = 2**16  # uniforms drawn at once by ``sample_population`` (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,17 @@ def sample_individual(marginals: np.ndarray, rng: np.random.Generator) -> Bitstr
 def sample_population(marginals: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` independent individuals from the product distribution, as a (size, n) bit matrix.
 
-    Consumes exactly one (size, n) uniform block from ``rng`` in row-major
-    order, so the stream position after the call is backend-independent.
+    Consumes exactly size * n uniforms from ``rng`` in row-major order, as
+    one (size, n) block would, but draws them in row blocks of at most
+    ``_SAMPLE_BLOCK_DOUBLES`` values (one row if a row is longer), so the
+    float64 block never outgrows that bound.
     """
     if size < 1:
         raise ValueError(f"population size must be at least 1, got {size}")
-    return kernels.sample_bits(rng.random((size, marginals.shape[0])), marginals)
+    n = marginals.shape[0]
+    rows = max(1, _SAMPLE_BLOCK_DOUBLES // n)
+    bits = np.empty((size, n), dtype=np.uint8)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        bits[start:stop] = kernels.sample_bits(rng.random((stop - start, n)), marginals)
+    return bits

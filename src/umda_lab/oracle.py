@@ -9,7 +9,9 @@ engines are checked against.  Every enumeration here visits and weights
 each outcome of its space, under a size cap checked before anything of that
 size is allocated; they are correctness anchors, not engines.  The level
 enumeration tallies its populations by radix code in numpy rather than one
-by one in Python, and still shares no code with the chain.
+by one in Python, and still shares no code with the chain; it builds the
+bit rows, weights and codes of its populations in fixed-size blocks, so
+only one block of rows is held at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ CHAIN_MAX_N = 6
 ENUMERATION_MAX_BITS = 16
 TRANSITION_MAX_OUTCOMES = 2**20
 _TRANSITION_CHUNK = 2**16
+_ENUMERATION_BLOCK = 2**12  # population codes whose bit rows are held at once
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,24 @@ def exact_level_chain(marginals: Sequence[float], size: int) -> ExactDistributio
     return ExactDistribution(support=tuple(support), probabilities=np.array([states[s] for s in support]))
 
 
-def _all_bit_matrices(total_bits: int) -> np.ndarray:
+def _enumeration_outcomes(total_bits: int) -> int:
+    """Number of bit strings of ``total_bits`` bits; raises above the enumeration cap."""
     if total_bits > ENUMERATION_MAX_BITS:
         raise ValueError(
             f"infeasible enumeration: 2^{total_bits} outcomes (cap 2^{ENUMERATION_MAX_BITS})"
         )
-    codes = np.arange(2**total_bits, dtype=np.int64)
+    return 2**total_bits
+
+
+def _bit_rows(total_bits: int, start: int, stop: int) -> np.ndarray:
+    """Bit rows of the codes ``start``..``stop - 1``, most significant bit first."""
+    codes = np.arange(start, stop, dtype=np.int64)
     shifts = np.arange(total_bits - 1, -1, -1)
     return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def _all_bit_matrices(total_bits: int) -> np.ndarray:
+    return _bit_rows(total_bits, 0, _enumeration_outcomes(total_bits))
 
 
 def enumerate_level_distribution(marginals: Sequence[float], size: int) -> ExactDistribution:
@@ -126,21 +139,28 @@ def enumerate_level_distribution(marginals: Sequence[float], size: int) -> Exact
     Visits all 2**(size*n) populations, weighting each by its product
     probability, and tallies them by the radix code of their count vector
     (level 1 the most significant digit, so code order is tuple order).  The
-    weights are added in population order, so the law is the one a plain
-    per-population walk gives, bit for bit; outcomes of weight zero stay in
-    the support.  Independent of the chain construction above.
+    rows are built in blocks, but the weights are added in population order
+    by one tally, so the law is the one a plain per-population walk gives,
+    bit for bit; outcomes of weight zero stay in the support.  Independent of
+    the chain construction above.
     """
     marginals = np.asarray(marginals, dtype=np.float64)
     n = marginals.shape[0]
-    bits = _all_bit_matrices(size * n)
+    total_bits = size * n
+    outcomes = _enumeration_outcomes(total_bits)
     flat_p = np.tile(marginals, size)
-    weights = np.where(bits == 1, flat_p, 1.0 - flat_p).prod(axis=1)
-    per_member = bits.reshape(-1, n)
-    lo = kernels.leading_ones_rows(per_member).reshape(-1, size)
     radix = size + 1
-    codes = np.zeros(lo.shape[0], dtype=np.int64)
-    for level in range(1, n + 1):
-        codes = codes * radix + np.count_nonzero(lo >= level, axis=1)
+    weights = np.empty(outcomes)
+    codes = np.empty(outcomes, dtype=np.int64)
+    for start in range(0, outcomes, _ENUMERATION_BLOCK):
+        stop = min(start + _ENUMERATION_BLOCK, outcomes)
+        bits = _bit_rows(total_bits, start, stop)
+        weights[start:stop] = np.where(bits == 1, flat_p, 1.0 - flat_p).prod(axis=1)
+        lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, size)
+        block_codes = 0
+        for level in range(1, n + 1):
+            block_codes = block_codes * radix + np.count_nonzero(lo >= level, axis=1)
+        codes[start:stop] = block_codes
     law = np.bincount(codes, weights=weights)
     support = np.nonzero(np.bincount(codes))[0]
     return ExactDistribution(

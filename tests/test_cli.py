@@ -216,6 +216,39 @@ def test_oracle_maxlo_prints_value(capsys):
     assert report["passed"] is True
 
 
+def test_oracle_maxlo_rejects_sizes_beyond_the_enumeration_cap(capsys):
+    # n * k = 18 bits: no brute-force comparison can run, so no pass may be reported
+    code, out, err = _run_cli(capsys, "oracle", "maxlo", "--n", "9", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert "infeasible" in err and "cap 16" in err
+
+
+def test_oracle_noise_expectation_default_report_is_pinned(capsys):
+    # any change to the noise stream or to the rows it scores moves these figures
+    code, out, _ = _run_cli(capsys, "oracle", "noise-expectation")
+    assert code == 0
+    report = json.loads(out)
+    assert report["samples"] == 200_000 and report["exact"] == 0.06
+    assert report["monte_carlo_mean"] == 0.06032
+    assert report["standard_error"] == 0.001090052030440357
+
+
+def test_oracle_noise_expectation_reads_one_copy_of_the_string(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, _ = _run_cli(capsys, "oracle", "noise-expectation", "--n", "200", "--samples", "100000",
+                                "--p", "0.3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert peak < 20 * 2**20  # 100,000 tiled copies of 200 bits alone take 19 MiB
+
+
 def test_oracle_noise_expectation(capsys):
     code, out, _ = _run_cli(capsys, "oracle", "noise-expectation", "--n", "15", "--p", "0.25",
                             "--samples", "100000", "--seed", "3")

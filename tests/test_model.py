@@ -101,6 +101,29 @@ def test_sample_population_shape_and_unset_fitness():
         sample_population(model, 0, rng)
 
 
+@pytest.mark.parametrize("size, n", [(300, 1000), (7, 65_537), (1, 3)])
+def test_sample_population_blocks_read_one_uniform_block(size, n):
+    # row blocks consume the stream exactly as one (size, n) block does
+    marginals = np.random.default_rng(5).random(n)
+    bits = sample_population(marginals, size, np.random.default_rng(11))
+    whole = np.random.default_rng(11).random((size, n)) < marginals
+    np.testing.assert_array_equal(bits, whole.astype(np.uint8))
+
+
+def test_sample_population_holds_one_block_of_uniforms():
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        bits = sample_population(np.full(2000, 0.5), 2000, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bits.shape == (2000, 2000)
+    assert peak < 8 * 2**20  # one 2000 x 2000 float64 block alone takes 30.5 MiB
+
+
 def test_sample_population_mean_ones():
     model = init_model(100)
     rng = np.random.default_rng(13)

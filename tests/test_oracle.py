@@ -94,6 +94,32 @@ def test_enumeration_equals_dict_walk_bit_for_bit():
     assert cases == 123
 
 
+@pytest.mark.parametrize("block", [1000, 4096])
+def test_enumeration_blocks_cross_at_the_cap(monkeypatch, block):
+    # the 16-bit cases of the dict-walk test span several blocks, the last one ragged at 1000
+    from umda_lab import oracle
+
+    assert oracle._ENUMERATION_BLOCK < 2**16
+    monkeypatch.setattr(oracle, "_ENUMERATION_BLOCK", block)
+    for marginals in [(0.5, 0.5, 0.5, 0.5), (2 / 3, 0.4, 0.3, 0.6), (0.5, 1.0, 0.0, 0.25)]:
+        dist = enumerate_level_distribution(marginals, 4)
+        support, probabilities = _enumerate_by_dict_walk(marginals, 4)
+        assert dist.support == support
+        assert np.array_equal(dist.probabilities, probabilities)
+
+
+def test_enumeration_holds_one_block_of_rows():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        enumerate_level_distribution([0.5] * 4, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the whole 2**16 x 16 float64 weight matrix alone takes 8 MiB
+
+
 def test_enumeration_rejects_oversized_spaces():
     import tracemalloc
 
