@@ -3,7 +3,6 @@
 from ._version import VERSION as __version__
 from .engine import RunResult, Trace, UmdaConfig, run, select_parents, sort_by_fitness, update_model
 from .instrumentation import (
-    IterationStats,
     ThresholdParams,
     TraceSummary,
     iteration_stats,
@@ -30,7 +29,6 @@ from .objectives import (
 
 __all__ = [
     "__version__",
-    "IterationStats",
     "NoiseConfig",
     "Population",
     "RunResult",

@@ -201,8 +201,7 @@ def _oracle_tailmarginal(args: argparse.Namespace) -> dict:
     )
     (params,) = resolve_params(config)
     if params.tail_start is None:
-        cutoff = math.floor(params.levels.beta + 2.0)
-        raise ValueError(f"n={n} leaves no tail: floor(beta + 2) = {cutoff} >= n")
+        raise ValueError(f"n={n} leaves no tail: floor(beta + 2) = {params.levels.tail_cutoff} >= n")
     result = run_experiment(config)
     report_obj = oracle.tail_marginal_frequency_test(result.traces, result.params_by_n[n].levels)
     passed = 0.45 <= report_obj.mean <= 0.55

@@ -2,11 +2,13 @@
 
 The model is a plain float64 array of n marginals.  Two engines share one
 loop: budget, success check, trace recording, marginal snapshots and
-selection, which ``sort_by_fitness`` and ``select_parents`` do on the noisy
-scores of either engine's population.  Only the sample/score step and the
-ones-count step differ.  A ones-count step returns the parents'
-per-position ones counts, and ``run`` sets the next model to those counts
-over mu, clamped to the borders and checked against them.
+selection.  Each engine's sample/score step returns three plain arrays:
+the true scores, the noisy scores and what its ones-count step reads (the
+bit matrix, or the level engine's reveal ends).  ``sort_by_fitness`` and
+``select_parents`` rank the noisy scores the same way for both.  A
+ones-count step returns the parents' per-position ones counts, and ``run``
+sets the next model to those counts over mu, clamped to the borders and
+checked against them.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -41,8 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .instrumentation import IterationStats, iteration_stats
-from .model import Population, check_marginals, clamp_vector, init_model, sample_population
+from .instrumentation import iteration_stats
+from .model import check_marginals, clamp_vector, init_model, sample_population
 from .objectives import NoiseConfig, evaluate_population
 from . import kernels
 
@@ -91,32 +93,6 @@ class UmdaConfig:
         if self.track_marginals_from is not None and not 0 <= self.track_marginals_from < self.n:
             raise ValueError("track_marginals_from outside [0, n)")
 
-    @property
-    def gamma_star(self) -> float:
-        return self.mu / self.lam
-
-
-@dataclass(frozen=True)
-class LevelPopulation:
-    """Individuals of the level engine, known only as far as scoring looked.
-
-    Individual i has ``fitness_true[i]`` leading ones followed by a zero
-    (unless it is the optimum).  Its later bits were never drawn, except
-    when noise flipped that first zero: then the ones run after it was
-    revealed, so positions ``fitness_true[i] + 1 .. reveal_end[i] - 1`` are
-    ones and position ``reveal_end[i]``, when below n, is a zero.
-    Otherwise ``reveal_end[i] == fitness_true[i]``.
-    """
-
-    n: int
-    fitness_true: np.ndarray
-    fitness_noisy: np.ndarray
-    reveal_end: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.fitness_true.shape[0]
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -152,41 +128,10 @@ class RunResult:
     trace: Optional[Trace] = None
 
 
-class _TraceRecorder:
-    """Collects the trace rows of one run, each a tuple in ``TRACE_HEADER`` order.
-
-    ``run`` computes an iteration's ``IterationStats`` only when the recorder
-    keeps that iteration: every one below ``DENSE_UNTIL``, every
-    ``THIN_EVERY``-th after it, and the final one.
-    """
-
-    def __init__(self, tail_start: Optional[int]) -> None:
-        self._tail_start = tail_start
-        self._rows: list[tuple[int, ...]] = []
-        self._tails: list[np.ndarray] = []
-
-    def keeps(self, t: int) -> bool:
-        """Whether iteration ``t`` is recorded even when it is not the final one."""
-        return t < DENSE_UNTIL or t % THIN_EVERY == 0
-
-    def observe(self, stats: IterationStats, marginals: np.ndarray, evals: int) -> None:
-        self._rows.append((stats.t, stats.z_mu, stats.z_star, stats.best_true, evals, stats.misranked))
-        if self._tail_start is not None:
-            self._tails.append(marginals[self._tail_start:].copy())
-
-    def build(self) -> Trace:
-        tails = np.array(self._tails) if self._tail_start is not None else None
-        return Trace(*np.array(self._rows, dtype=np.int64).reshape(-1, 6).T,
-                     tail_start=self._tail_start, marginals_tail=tails)
-
-
-def sort_by_fitness(pop: Population | LevelPopulation) -> np.ndarray:
-    """Indices by noisy fitness, non-increasing; ties keep sampling order.
-
-    Reads only ``pop.fitness_noisy``, so it serves both engines.
-    """
-    order = np.argsort(-pop.fitness_noisy, kind="stable")
-    ranked = pop.fitness_noisy[order]
+def sort_by_fitness(fitness_noisy: np.ndarray) -> np.ndarray:
+    """Indices by noisy fitness, non-increasing; ties keep sampling order."""
+    order = np.argsort(-fitness_noisy, kind="stable")
+    ranked = fitness_noisy[order]
     if (ranked[1:] > ranked[:-1]).any():
         raise ValueError("sorted population must have non-increasing fitness")
     return order
@@ -199,13 +144,23 @@ def select_parents(order: np.ndarray, mu: int) -> np.ndarray:
     return order[:mu]
 
 
-def update_model(pop: Population, parents: np.ndarray) -> np.ndarray:
+def update_model(members: np.ndarray, parents: np.ndarray) -> np.ndarray:
     """The parents' per-position ones counts, which ``run`` turns into the next model."""
-    return kernels.column_ones_counts(pop.members, parents)
+    return kernels.column_ones_counts(members, parents)
 
 
-def sample_levels(marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.random.Generator) -> LevelPopulation:
+def sample_levels(
+    marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw ``size`` leading-ones values and score them, one evaluation each.
+
+    Returns ``(fitness_true, fitness_noisy, reveal_end)``.  Individual i has
+    ``fitness_true[i]`` leading ones followed by a zero (unless it is the
+    optimum).  Its later bits were never drawn, except when noise flipped
+    that first zero: then the ones run after it was revealed, so positions
+    ``fitness_true[i] + 1 .. reveal_end[i] - 1`` are ones and position
+    ``reveal_end[i]``, when below n, is a zero.  Otherwise
+    ``reveal_end[i] == fitness_true[i]``.
 
     P(LO > k) = p_0 * ... * p_k, so an individual's leading-ones value is
     the number of these prefix products above one uniform.  Noise uses the
@@ -234,11 +189,12 @@ def sample_levels(marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.
                 reveal_end = lo.copy()
                 reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
                 noisy[hit] = reveal_end[hit]
-    return LevelPopulation(n=n, fitness_true=lo, fitness_noisy=noisy, reveal_end=reveal_end)
+    return lo, noisy, reveal_end
 
 
 def update_levels(
-    pop: LevelPopulation, parents: np.ndarray, marginals: np.ndarray, rng: np.random.Generator
+    fitness_true: np.ndarray, reveal_end: np.ndarray, parents: np.ndarray, marginals: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Parents' ones counts from what was seen, plus binomials for what was not.
 
@@ -247,8 +203,8 @@ def update_levels(
     revealed bit or an unseen Bernoulli(p_j) one.
     """
     n, mu = marginals.shape[0], parents.shape[0]
-    lo = pop.fitness_true[parents]
-    end = pop.reveal_end[parents]
+    lo = fitness_true[parents]
+    end = reveal_end[parents]
     per_level = np.bincount(lo, minlength=n + 1)
     at_most = np.cumsum(per_level)  # at_most[j] = #(LO <= j)
     ones = mu - at_most[:n]
@@ -271,36 +227,37 @@ def run(config: UmdaConfig) -> RunResult:
     selection, so noise cannot hide a sampled optimum.  Budget exhaustion is
     a normal result with ``success`` False.  Level statistics, and with them
     the counting-identity check, are computed only for the iterations the
-    trace keeps; an untraced run reads just the best true fitness.
+    trace keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th
+    after it, and the final one.
     """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
-    recorder = _TraceRecorder(config.track_marginals_from) if config.record_trace else None
+    tail_start = config.track_marginals_from
+    rows: list[tuple[int, ...]] = []  # in TRACE_HEADER order
+    tails: list[np.ndarray] = []
     iterations = 0
     while True:
-        pop = _sample(model, config, rng)
+        fitness_true, fitness_noisy, seen = _sample(model, config, rng)
         t = iterations
         iterations += 1
         evals = config.lam * iterations
-        stats = iteration_stats(pop, config.mu, t) if recorder is not None and recorder.keeps(t) else None
-        best_true = stats.best_true if stats is not None else int(pop.fitness_true.max())
+        best_true = int(fitness_true.max())
         success = best_true == config.n
         final = success or evals >= config.max_evals
-        if recorder is not None and final and stats is None:
-            stats = iteration_stats(pop, config.mu, t)
-        if stats is not None:
-            recorder.observe(stats, model, evals)
+        if config.record_trace and (final or t < DENSE_UNTIL or t % THIN_EVERY == 0):
+            z_mu, z_star, misranked = iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
+            rows.append((t, z_mu, z_star, best_true, evals, misranked))
+            if tail_start is not None:
+                tails.append(model[tail_start:].copy())
         if final:
             break
-        model = clamp_vector(_update(pop, model, config, rng) / config.mu, config.n)
+        model = clamp_vector(_update(fitness_true, fitness_noisy, seen, model, config, rng) / config.mu, config.n)
         check_marginals(model, config.n)
-    return RunResult(
-        success=success,
-        evals=evals,
-        iterations=iterations,
-        best_true=best_true,
-        trace=recorder.build() if recorder is not None else None,
-    )
+    trace = None
+    if config.record_trace:
+        trace = Trace(*np.array(rows, dtype=np.int64).reshape(-1, 6).T, tail_start=tail_start,
+                      marginals_tail=np.array(tails) if tail_start is not None else None)
+    return RunResult(success=success, evals=evals, iterations=iterations, best_true=best_true, trace=trace)
 
 
 def step(marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator) -> np.ndarray:
@@ -311,17 +268,24 @@ def step(marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator) ->
     """
     marginals = np.asarray(marginals, dtype=np.float64)
     check_marginals(marginals, config.n)
-    return _update(_sample(marginals, config, rng), marginals, config, rng)
+    return _update(*_sample(marginals, config, rng), marginals, config, rng)
 
 
-def _sample(marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator):
+def _sample(
+    marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(fitness_true, fitness_noisy, seen)``: ``seen`` is the bit matrix or the reveal ends."""
     if config.engine == "bits":
-        return evaluate_population(sample_population(marginals, config.lam, rng), config.noise, rng)
+        pop = evaluate_population(sample_population(marginals, config.lam, rng), config.noise, rng)
+        return pop.fitness_true, pop.fitness_noisy, pop.members
     return sample_levels(marginals, config.lam, config.noise, rng)
 
 
-def _update(pop, marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator) -> np.ndarray:
-    parents = select_parents(sort_by_fitness(pop), config.mu)
+def _update(
+    fitness_true: np.ndarray, fitness_noisy: np.ndarray, seen: np.ndarray, marginals: np.ndarray,
+    config: UmdaConfig, rng: np.random.Generator,
+) -> np.ndarray:
+    parents = select_parents(sort_by_fitness(fitness_noisy), config.mu)
     if config.engine == "bits":
-        return update_model(pop, parents)
-    return update_levels(pop, parents, marginals, rng)
+        return update_model(seen, parents)
+    return update_levels(fitness_true, seen, parents, marginals, rng)

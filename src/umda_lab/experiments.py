@@ -32,7 +32,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -350,8 +350,7 @@ def resolve_params(config: ExperimentConfig) -> list[ResolvedParams]:
             if iterations_cap is None:
                 iterations_cap = scenario.iterations_cap
             max_evals = lam * iterations_cap if iterations_cap is not None else scenario.evals_per_n2 * n * n
-        cutoff = int(math.floor(levels.beta + 2.0))
-        tail_start = cutoff if scenario.track_tail and cutoff < n else None
+        tail_start = levels.tail_cutoff if scenario.track_tail and levels.tail_cutoff < n else None
         resolved.append(
             ResolvedParams(
                 n=n, lam=lam, mu=mu, max_evals=max_evals,
@@ -361,8 +360,7 @@ def resolve_params(config: ExperimentConfig) -> list[ResolvedParams]:
     return resolved
 
 
-@dataclass(frozen=True)
-class RunRow:
+class RunRow(NamedTuple):
     """One replication outcome, exactly the runtime.csv row."""
 
     n: int
@@ -373,10 +371,6 @@ class RunRow:
     evals: int
     iterations: int
     success: bool
-
-    def as_csv_row(self) -> tuple:
-        return (self.n, self.replication, self.seed, self.lam, self.mu,
-                self.evals, self.iterations, self.success)
 
 
 @dataclass(frozen=True)
@@ -581,7 +575,7 @@ def write_bundle(result, out_dir: Path) -> dict[str, Path]:
     write_json(manifest_path, result.manifest)
     paths["manifest"] = manifest_path
     runtime_path = out_dir / "runtime.csv"
-    write_csv(runtime_path, RUNTIME_HEADER, (row.as_csv_row() for row in result.rows))
+    write_csv(runtime_path, RUNTIME_HEADER, result.rows)
     paths["runtime"] = runtime_path
     if isinstance(result, TraceExperimentResult):
         trace_dir = out_dir / "traces"

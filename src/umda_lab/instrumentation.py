@@ -15,24 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Population
-
-
-@dataclass(frozen=True)
-class IterationStats:
-    """Snapshot of one iteration: depths, best true fitness and noise misranks.
-
-    ``misranked`` counts individuals whose noisy score reaches level
-    ``z_mu + 1`` although their true score does not (written to the ``B``
-    trace column; always 0 without noise).
-    """
-
-    t: int
-    z_mu: int
-    z_star: int
-    best_true: int
-    misranked: int
-
 
 @dataclass(frozen=True)
 class ThresholdParams:
@@ -51,6 +33,11 @@ class ThresholdParams:
     alpha: Optional[float]
     beta: float
     kappa: float
+
+    @property
+    def tail_cutoff(self) -> int:
+        """The first 0-based tail position, ``floor(beta + 2)``."""
+        return math.floor(self.beta + 2.0)
 
 
 @dataclass(frozen=True)
@@ -86,34 +73,27 @@ def z_values(c: np.ndarray, mu: int) -> tuple[int, int]:
     return int(np.count_nonzero(c >= mu)), int(np.count_nonzero(c))
 
 
-def noisy_misrank_count(pop: Population, j: int) -> int:
+def noisy_misrank_count(fitness_true: np.ndarray, fitness_noisy: np.ndarray, j: int) -> int:
     """Individuals whose noisy score reaches level j while their true score does not."""
-    if pop.fitness_noisy is pop.fitness_true:  # no noise drawn
+    if fitness_noisy is fitness_true:  # no noise drawn
         return 0
-    return int(np.count_nonzero((pop.fitness_true < j) & (pop.fitness_noisy >= j)))
+    return int(np.count_nonzero((fitness_true < j) & (fitness_noisy >= j)))
 
 
-def iteration_stats(pop: Population, mu: int, t: int) -> IterationStats:
-    """Compute the per-iteration snapshot and check the counting identity.
+def iteration_stats(fitness_true: np.ndarray, fitness_noisy: np.ndarray, n: int, mu: int) -> tuple[int, int, int]:
+    """``(z_mu, z_star, misranked)`` of one population, after checking the counting identity.
 
-    Only the fitness arrays, ``n`` and ``size`` of ``pop`` are read, so the
-    level engine's ``LevelPopulation`` is scored the same way as a
-    bit-level ``Population``.
+    ``misranked`` counts individuals whose noisy score reaches level
+    ``z_mu + 1`` although their true score does not (written to the ``B``
+    trace column; always 0 without noise).
     """
-    c, d = level_counts(pop.fitness_true, pop.n)
+    c, d = level_counts(fitness_true, n)
     z_mu, z_star = z_values(c, mu)
     # counting identity: C[i-1] = C[i] + D[i], anchored at C[0] = population size
-    previous = np.concatenate(([pop.size], c[:-1]))
+    previous = np.concatenate(([fitness_true.shape[0]], c[:-1]))
     if (previous != c + d).any():
         raise AssertionError("level counting identity violated")
-    misranked = noisy_misrank_count(pop, z_mu + 1)
-    return IterationStats(
-        t=t,
-        z_mu=z_mu,
-        z_star=z_star,
-        best_true=int(pop.fitness_true.max()),
-        misranked=misranked,
-    )
+    return z_mu, z_star, noisy_misrank_count(fitness_true, fitness_noisy, z_mu + 1)
 
 
 def thresholds(n: int, gamma_star: float, delta: float, epsilon: Optional[float] = None) -> ThresholdParams:

@@ -74,7 +74,7 @@ def noisy_leading_ones_batch(
     fitness = fitness_true.copy()
     if noisy_rows.size:
         flips = rng.integers(0, n, size=noisy_rows.size)
-        flipped = bits[noisy_rows].copy()
+        flipped = bits[noisy_rows]  # fancy indexing copies
         flipped[np.arange(noisy_rows.size), flips] ^= 1
         fitness[noisy_rows] = kernels.leading_ones_rows(flipped)
     return fitness

@@ -344,7 +344,7 @@ def tail_marginal_frequency_test(
     iteration ``window`` indexes recorded trace rows and defaults to the
     second half of each trace (burn-in discarded).
     """
-    cutoff = int(math.floor(params.beta + 2.0))
+    cutoff = params.tail_cutoff
     if first_position is None:
         first_position = cutoff
     if first_position < cutoff:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umda_lab import NoiseConfig, UmdaConfig, engine, instrumentation, run, select_parents, sort_by_fitness, update_model
-from umda_lab.engine import ENGINES, LevelPopulation, update_levels
+from umda_lab.engine import ENGINES, update_levels
 from umda_lab.model import Population, check_marginals, clamp_vector, init_model
 
 
@@ -31,24 +31,23 @@ def test_config_validation():
     with pytest.raises(ValueError):
         UmdaConfig(n=10, lam=10, mu=5, max_evals=9)
     assert UmdaConfig(n=10, lam=10, mu=5).max_evals == 100 * 10 * 10
-    assert UmdaConfig(n=10, lam=10, mu=5).gamma_star == 0.5
 
 
 def test_sort_stable_descending_with_ties():
-    assert sort_by_fitness(_pop([2, 5, 5, 0])).tolist() == [1, 2, 0, 3]
+    assert sort_by_fitness(_pop([2, 5, 5, 0]).fitness_noisy).tolist() == [1, 2, 0, 3]
 
 
 def test_sort_idempotent_on_sorted_input():
-    assert sort_by_fitness(_pop([7, 4, 2, 1])).tolist() == [0, 1, 2, 3]
+    assert sort_by_fitness(_pop([7, 4, 2, 1]).fitness_noisy).tolist() == [0, 1, 2, 3]
 
 
 def test_sort_all_equal_keeps_sampling_order():
-    assert sort_by_fitness(_pop([3, 3, 3, 3])).tolist() == [0, 1, 2, 3]
+    assert sort_by_fitness(_pop([3, 3, 3, 3]).fitness_noisy).tolist() == [0, 1, 2, 3]
 
 
 def test_select_parents_takes_prefix():
     pop = _pop([0, 2, 1, 3])
-    order = sort_by_fitness(pop)
+    order = sort_by_fitness(pop.fitness_noisy)
     parents = select_parents(order, 2)
     assert pop.fitness_noisy[parents].tolist() == [3, 2]
     assert select_parents(order, 4).tolist() == [3, 1, 2, 0]
@@ -58,7 +57,7 @@ def test_select_parents_takes_prefix():
 
 def test_select_parents_tie_rule():
     pop = _pop([3, 3, 3, 0])
-    parents = select_parents(sort_by_fitness(pop), 2)
+    parents = select_parents(sort_by_fitness(pop.fitness_noisy), 2)
     assert parents.tolist() == [0, 1]
     assert pop.fitness_noisy[parents].tolist() == [3, 3]
 
@@ -69,9 +68,7 @@ def test_update_model_clamps_and_divides():
     members[:mu, 0] = 1  # all parents one -> clamps to upper border
     members[:4, 2] = 1  # four ones -> 0.4
     members[mu:] = 1  # two rows that are not parents
-    fit = np.zeros(mu + 2, dtype=np.int64)
-    pop = Population(members=members, fitness_true=fit, fitness_noisy=fit)
-    ones = update_model(pop, np.arange(mu))
+    ones = update_model(members, np.arange(mu))
     assert ones[0] == 10 and ones[1] == 0 and ones[2] == 4
     model = clamp_vector(ones / mu, n)  # the update ``run`` makes
     assert model[0] == pytest.approx(0.99)
@@ -82,18 +79,15 @@ def test_update_model_clamps_and_divides():
 def test_update_model_reads_unsorted_parent_rows():
     rng = np.random.default_rng(5)
     members = (rng.random((9, 7)) < 0.5).astype(np.uint8)
-    fit = np.zeros(9, dtype=np.int64)
-    pop = Population(members=members, fitness_true=fit, fitness_noisy=fit)
     parents = np.array([7, 2, 5, 0])
-    np.testing.assert_array_equal(update_model(pop, parents), pop.members[parents].sum(0))
+    np.testing.assert_array_equal(update_model(members, parents), members[parents].sum(0))
 
 
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=1, max_value=12), st.integers(0, 10_000))
 def test_update_model_always_lands_in_borders(n, mu, seed):
     rng = np.random.default_rng(seed)
     members = (rng.random((mu, n)) < rng.random(n)).astype(np.uint8)
-    fit = np.zeros(mu, dtype=np.int64)
-    ones = update_model(Population(members=members, fitness_true=fit, fitness_noisy=fit), np.arange(mu))
+    ones = update_model(members, np.arange(mu))
     model = clamp_vector(ones / mu, n)
     check_marginals(model, n)
     assert np.all(model >= 1.0 / n)
@@ -254,9 +248,9 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     calls = []
     original = engine.iteration_stats
 
-    def counting(pop, mu, t):
-        calls.append(t)
-        return original(pop, mu, t)
+    def counting(fitness_true, fitness_noisy, n, mu):
+        calls.append(fitness_true.shape[0])
+        return original(fitness_true, fitness_noisy, n, mu)
 
     monkeypatch.setattr(engine, "iteration_stats", counting)
     _thin(monkeypatch)
@@ -264,8 +258,8 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     run(replace(config, record_trace=False))
     assert calls == []
     traced = run(config)
-    assert calls == traced.trace.t.tolist()
-    assert calls[-1] == 49
+    assert calls == [config.lam] * len(traced.trace)
+    assert traced.trace.t.tolist()[-1] == 49
 
 
 @pytest.mark.parametrize("engine_name", ENGINES)
@@ -273,9 +267,9 @@ def test_both_engines_select_through_one_path(engine_name, monkeypatch):
     calls = {"sort": 0, "select": 0}
     sort, select = engine.sort_by_fitness, engine.select_parents
 
-    def counting_sort(pop):
+    def counting_sort(fitness_noisy):
         calls["sort"] += 1
-        return sort(pop)
+        return sort(fitness_noisy)
 
     def counting_select(order, mu):
         calls["select"] += 1
@@ -331,11 +325,8 @@ def test_level_engine_keeps_borders_and_counting_identity(n, mu, extra, noise_p,
         np.testing.assert_array_equal(np.concatenate(([lam], c))[:-1], c + d)
 
 
-def _levels(noisy, true=None, reveal_end=None, n=6):
-    noisy = np.array(noisy, dtype=np.int64)
-    true = noisy if true is None else np.array(true, dtype=np.int64)
-    reveal_end = true if reveal_end is None else np.array(reveal_end, dtype=np.int64)
-    return LevelPopulation(n=n, fitness_true=true, fitness_noisy=noisy, reveal_end=reveal_end)
+def _levels(noisy):
+    return np.array(noisy, dtype=np.int64)
 
 
 def test_select_levels_is_stable_top_mu():
@@ -356,9 +347,8 @@ def test_update_levels_counts_seen_and_unseen_bits():
     # parent 0: 3 leading ones, then a zero at 3, rest unseen
     # parent 1: 0 leading ones; noise flipped position 0 and revealed ones
     #           at 1 and 2 and a zero at 3, rest unseen
-    pop = _levels(noisy=[3, 3], true=[3, 0], reveal_end=[3, 3], n=6)
     rng = _RecordingRng()
-    ones = update_levels(pop, np.array([0, 1]), init_model(6), rng)
+    ones = update_levels(_levels([3, 0]), _levels([3, 3]), np.array([0, 1]), init_model(6), rng)
     assert ones.tolist() == [1, 2, 2, 0, 0, 0]
     # unseen bits from position 1 on (past the lowest parent's first zero)
     assert rng.trials.tolist() == [0, 0, 0, 2, 2]

@@ -129,13 +129,13 @@ def test_low_pressure_condition():
 def test_misrank_count_zero_without_noise():
     pop = _evaluated([[1, 1, 0], [0, 1, 1]])
     for level in range(5):
-        assert noisy_misrank_count(pop, level) == 0
+        assert noisy_misrank_count(pop.fitness_true, pop.fitness_noisy, level) == 0
 
 
 def test_misrank_count_forced_example():
     # true fitness 0, noisy draw flipped the first bit giving noisy score 3
     pop = _evaluated([[0, 1, 1]], fitness_noisy=[3])
-    assert noisy_misrank_count(pop, 1) == 1
+    assert noisy_misrank_count(pop.fitness_true, pop.fitness_noisy, 1) == 1
 
 
 def test_misrank_expectation_bounded_by_flip_rate():
@@ -150,8 +150,8 @@ def test_misrank_expectation_bounded_by_flip_rate():
     totals = []
     for _ in range(2000):
         pop = evaluate_population(sample_population(model, lam, config_rng), NoiseConfig(p), config_rng)
-        stats = iteration_stats(pop, mu=10, t=0)
-        totals.append(stats.misranked)
+        _, _, misranked = iteration_stats(pop.fitness_true, pop.fitness_noisy, n, mu=10)
+        totals.append(misranked)
     bound = lam * p / n
     mean = float(np.mean(totals))
     sigma = float(np.std(totals, ddof=1)) / math.sqrt(len(totals))
@@ -160,14 +160,13 @@ def test_misrank_expectation_bounded_by_flip_rate():
 
 def test_iteration_stats_truncates_levels_at_deepest():
     pop = _evaluated([[1, 1, 0], [1, 0, 0], [0, 0, 1]])
-    stats = iteration_stats(pop, mu=2, t=4)
-    assert stats.t == 4
-    assert stats.z_star == 2
+    z_mu, z_star, misranked = iteration_stats(pop.fitness_true, pop.fitness_noisy, pop.n, mu=2)
+    assert z_star == 2
     c, d = level_counts(pop.fitness_true, pop.n)
     assert c.tolist() == [2, 1, 0]  # every level past z_star is empty
     assert d.tolist() == [1, 1, 1]
-    assert stats.best_true == 2
-    assert stats.z_mu == 1
+    assert z_mu == 1
+    assert misranked == 0
 
 
 def _params(alpha):

@@ -329,8 +329,8 @@ def test_tail_bits_show_no_pairwise_correlation():
     for _ in range(400):
         pop = evaluate_population(sample_population(model, lam, rng), NoiseConfig(0.0), rng)
         tail_bits.append(pop.members[:, cutoff:].astype(np.float64))
-        parents = select_parents(sort_by_fitness(pop), mu)
-        model = clamp_vector(update_model(pop, parents) / mu, n)
+        parents = select_parents(sort_by_fitness(pop.fitness_noisy), mu)
+        model = clamp_vector(update_model(pop.members, parents) / mu, n)
     samples = np.concatenate(tail_bits, axis=0)
     corr = np.corrcoef(samples, rowvar=False)
     off_diagonal = corr[~np.eye(corr.shape[0], dtype=bool)]
