@@ -4,11 +4,10 @@ from ._version import VERSION as __version__
 from .engine import RunResult, Trace, UmdaConfig, run, select_parents, sort_by_fitness, update_model
 from .instrumentation import (
     ThresholdParams,
-    TraceSummary,
+    first_hit,
     iteration_stats,
     level_counts,
     noisy_misrank_count,
-    summarize_trace,
     thresholds,
     z_values,
 )
@@ -34,11 +33,11 @@ __all__ = [
     "RunResult",
     "ThresholdParams",
     "Trace",
-    "TraceSummary",
     "UmdaConfig",
     "clamp_to_margins",
     "evaluate_population",
     "expected_noisy_fitness",
+    "first_hit",
     "init_model",
     "iteration_stats",
     "leading_ones",
@@ -50,7 +49,6 @@ __all__ = [
     "sample_population",
     "select_parents",
     "sort_by_fitness",
-    "summarize_trace",
     "thresholds",
     "update_model",
     "z_values",

@@ -84,6 +84,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: Path) -> None:
+    """Create the output directory before any run starts, so an unusable path costs no work."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot create directory: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = UmdaConfig(
         n=args.n,
@@ -95,9 +103,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         record_trace=args.trace,
         engine=args.engine,
     )
+    if args.trace:
+        _make_out_dir(args.out_dir)
     result = run(config)
     if args.trace:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(args.out_dir / "trace.csv", result.trace)
     print(
         f"n={args.n} lambda={args.lam} mu={args.mu} noise_p={args.noise_p} seed={args.seed} "
@@ -129,6 +138,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if out_dir is None:
         print("error: out_dir: set it in the config or pass --out-dir", file=sys.stderr)
         return 2
+    if args.jobs < 1:  # checked here too, so a rejected call leaves no directory behind
+        raise ConfigError("jobs", "must be at least 1")
+    _make_out_dir(out_dir)
     result = run_experiment(config, jobs=args.jobs)
     paths = write_bundle(result, out_dir)
     successes = sum(1 for row in result.rows if row.success)

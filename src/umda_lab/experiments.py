@@ -38,7 +38,7 @@ import numpy as np
 
 from ._version import VERSION
 from .engine import ENGINES, RunResult, Trace, UmdaConfig, run
-from .instrumentation import ThresholdParams, TraceSummary, low_pressure_condition, summarize_trace, thresholds
+from .instrumentation import ThresholdParams, thresholds
 from .objectives import NoiseConfig
 from .reporting import RUNTIME_HEADER, TRACE_HEADER, write_csv, write_json
 from .svgplot import Series, line_chart
@@ -274,7 +274,7 @@ def _check_stall_condition(manifest: dict, resolved: Sequence[ResolvedParams]) -
     """
     condition_floor = (1.0 + manifest["delta"]) / math.exp(1.0 - manifest["epsilon"])
     manifest["stall_condition_floor"] = condition_floor
-    ok = all(low_pressure_condition(params.levels) for params in resolved)
+    ok = all(params.levels.gamma_star >= condition_floor for params in resolved)
     manifest["stall_condition_ok"] = ok
     if not ok:
         warnings.warn(
@@ -378,19 +378,17 @@ class TraceExperimentResult:
     scenario: str
     rows: list[RunRow]
     traces: list[Trace]
-    summaries: list[TraceSummary]
     params_by_n: dict[int, ResolvedParams]
     manifest: dict
 
 
 @dataclass(frozen=True)
 class PowerFit:
-    """Fitted y = a * n**b with log-log goodness of fit and relative residuals."""
+    """Fitted y = a * n**b with log-log goodness of fit."""
 
     a: float
     b: float
     r_squared: float
-    residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -444,7 +442,7 @@ def fit_power_model(points: Sequence[tuple[float, float]]) -> PowerFit:
     ss_res = float(((log_y - np.log(fitted)) ** 2).sum())
     ss_tot = float(((log_y - log_y.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return PowerFit(a=float(a), b=float(b), r_squared=r_squared, residuals=(y - fitted) / fitted)
+    return PowerFit(a=float(a), b=float(b), r_squared=r_squared)
 
 
 def _base_manifest(config: ExperimentConfig, resolved: Sequence[ResolvedParams]) -> dict:
@@ -529,9 +527,9 @@ def _scaling_points(rows: Sequence[RunRow]) -> tuple[list[tuple[int, float]], in
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> TraceExperimentResult | ScalingResult:
     """Run every replication of the config's scenario row.
 
-    A traced scenario returns the depth traces and their summaries; the
-    others return the mean evaluations per n and, from three sizes with a
-    success on, the fitted power model.
+    A traced scenario returns the depth traces; the others return the mean
+    evaluations per n and, from three sizes with a success on, the fitted
+    power model.
     """
     scenario = SCENARIOS[config.scenario]
     resolved = resolve_params(config)
@@ -542,13 +540,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> TraceExperimentRe
     if scenario.traced:
         params_by_n = {params.n: params for params in resolved}
         traces = [result.trace for result in results]
-        summaries = [
-            summarize_trace(result.trace.z_mu, params_by_n[row.n].levels, z_star=result.trace.z_star)
-            for row, result in zip(rows, results)
-        ]
         return TraceExperimentResult(
             scenario=config.scenario, rows=rows, traces=traces,
-            summaries=summaries, params_by_n=params_by_n, manifest=manifest,
+            params_by_n=params_by_n, manifest=manifest,
         )
     points, censored = _scaling_points(rows)
     fit = fit_power_model(points) if len(points) >= 3 else None

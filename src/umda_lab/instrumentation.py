@@ -1,4 +1,5 @@
-"""Per-iteration analysis quantities and the closed-form level thresholds.
+"""Per-iteration analysis quantities, the closed-form level thresholds, and
+``first_hit``, the first iteration tau at which a depth trace reaches alpha.
 
 Level counts and the derived depths are always computed from *true* fitness,
 also in noisy runs, so they keep their meaning when selection is misled by
@@ -38,17 +39,6 @@ class ThresholdParams:
     def tail_cutoff(self) -> int:
         """The first 0-based tail position, ``floor(beta + 2)``."""
         return math.floor(self.beta + 2.0)
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    """Aggregates over a run trace: first hit of alpha, drift, windowed mean depth."""
-
-    tau: Optional[int]
-    mean_drift: float
-    time_avg_z: float
-    max_z_star: int
-    window: tuple[int, int]
 
 
 def level_counts(fitness: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,46 +105,12 @@ def thresholds(n: int, gamma_star: float, delta: float, epsilon: Optional[float]
     )
 
 
-def low_pressure_condition(params: ThresholdParams) -> bool:
-    """Whether the configured pressure is low enough for the stall regime.
+def first_hit(z_mu: Sequence[int], alpha: Optional[float]) -> Optional[int]:
+    """First 0-indexed trace position where the depth reaches ``alpha``.
 
-    Requires gamma_star >= (1+delta) / e^(1-epsilon); epsilon must be set.
+    None if the depth never reaches it, or if alpha is undefined.
     """
-    if params.epsilon is None:
-        raise ValueError("epsilon required to evaluate the low-pressure condition")
-    return params.gamma_star >= (1.0 + params.delta) / math.exp(1.0 - params.epsilon)
-
-
-def summarize_trace(
-    z_mu: Sequence[int],
-    params: ThresholdParams,
-    z_star: Sequence[int] | None = None,
-    window: Optional[tuple[int, int]] = None,
-) -> TraceSummary:
-    """Summarize a depth trace.
-
-    ``tau`` is the first 0-indexed trace position where the depth reaches
-    ``alpha`` (None if never, or if alpha is undefined).  ``window`` selects
-    the slice averaged for ``time_avg_z``; the default is the second half of
-    the trace, discarding burn-in.
-    """
-    z = np.asarray(z_mu, dtype=np.int64)
-    if z.size == 0:
-        raise ValueError("trace must be non-empty")
-    tau: Optional[int] = None
-    if params.alpha is not None:
-        hits = np.nonzero(z >= params.alpha)[0]
-        if hits.size:
-            tau = int(hits[0])
-    mean_drift = float(np.diff(z).mean()) if z.size > 1 else 0.0
-    if window is None:
-        window = (z.size // 2, z.size)
-    lo, hi = window
-    if not (0 <= lo < hi <= z.size):
-        raise ValueError(f"window {window} outside trace of length {z.size}")
-    time_avg = float(z[lo:hi].mean())
-    max_z_star = int(np.max(z_star)) if z_star is not None else int(z.max())
-    return TraceSummary(
-        tau=tau, mean_drift=mean_drift, time_avg_z=time_avg,
-        max_z_star=max_z_star, window=(lo, hi),
-    )
+    if alpha is None:
+        return None
+    hits = np.nonzero(np.asarray(z_mu) >= alpha)[0]
+    return int(hits[0]) if hits.size else None

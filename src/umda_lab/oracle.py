@@ -32,6 +32,7 @@ ENUMERATION_MAX_BITS = 16
 TRANSITION_MAX_OUTCOMES = 2**20
 _TRANSITION_CHUNK = 2**16
 _ENUMERATION_BLOCK = 2**12  # population codes whose bit rows are held at once
+CHI_SQUARE_SIGNIFICANCE = 0.001
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,6 @@ class ComparisonReport:
     tv_distance: float
     chi_square: float
     chi_square_critical: float
-    dof: int
-    n_samples: float
     passed: bool
 
 
@@ -76,7 +75,6 @@ class TailMarginalReport:
     ci_low: float
     ci_high: float
     n_samples: int
-    first_position: int
 
 
 def _binom_pmf(k: int, trials: int, p: float) -> float:
@@ -271,13 +269,13 @@ def empirical_vs_exact(
     samples: Mapping[tuple, float],
     exact: ExactDistribution,
     tv_threshold: float,
-    chi_square_significance: float = 0.001,
 ) -> ComparisonReport:
     """Compare observed outcome counts against an exact distribution.
 
     Passes iff the total-variation distance stays below ``tv_threshold`` and
-    the chi-square statistic stays below the critical value at the given
-    significance.  Outcomes outside the exact support are an error.
+    the chi-square statistic stays below the critical value at significance
+    ``CHI_SQUARE_SIGNIFICANCE``.  Outcomes outside the exact support are an
+    error.
     """
     unknown = set(samples) - set(exact.support)
     if unknown:
@@ -297,14 +295,12 @@ def empirical_vs_exact(
     dof = int(positive.sum()) - 1
     from scipy import stats as scipy_stats  # imported here: it costs most of a cold start
 
-    critical = float(scipy_stats.chi2.ppf(1.0 - chi_square_significance, dof)) if dof > 0 else 0.0
+    critical = float(scipy_stats.chi2.ppf(1.0 - CHI_SQUARE_SIGNIFICANCE, dof)) if dof > 0 else 0.0
     passed = tv <= tv_threshold and chi_square <= critical
     return ComparisonReport(
         tv_distance=tv,
         chi_square=chi_square,
         chi_square_critical=critical,
-        dof=dof,
-        n_samples=float(total),
         passed=passed,
     )
 
@@ -322,7 +318,7 @@ def check_transition(step: Callable[[], np.ndarray], exact: ExactDistribution, s
     """Compare the ones-count vectors of ``samples`` calls of ``step`` with ``exact``.
 
     Passes iff the TV distance stays within ``transition_tv_threshold`` and
-    the chi-square test passes at significance 0.001.
+    the chi-square test passes at significance ``CHI_SQUARE_SIGNIFICANCE``.
     """
     counts: dict[tuple, int] = {}
     for _ in range(samples):
@@ -334,35 +330,26 @@ def check_transition(step: Callable[[], np.ndarray], exact: ExactDistribution, s
 def tail_marginal_frequency_test(
     traces: Sequence[Trace],
     params: ThresholdParams,
-    first_position: Optional[int] = None,
     window: Optional[tuple[int, int]] = None,
 ) -> TailMarginalReport:
     """Mean tail marginal across runs and iterations, with a normal-approx CI.
 
-    Tail positions start beyond ``beta + 2`` (0-based ``floor(beta + 2)``);
-    passing an earlier ``first_position`` violates the precondition.  The
-    iteration ``window`` indexes recorded trace rows and defaults to the
+    Tail positions start beyond ``beta + 2`` (0-based ``floor(beta + 2)``).
+    The iteration ``window`` indexes recorded trace rows and defaults to the
     second half of each trace (burn-in discarded).
     """
     cutoff = params.tail_cutoff
-    if first_position is None:
-        first_position = cutoff
-    if first_position < cutoff:
-        raise ValueError(
-            f"tail positions start at 0-based {cutoff} (beyond beta+2 = {params.beta + 2.0:.3f}); "
-            f"got {first_position}"
-        )
     values = []
     for trace in traces:
         if trace.marginals_tail is None or trace.tail_start is None:
             raise ValueError("traces must carry marginal snapshots")
-        if trace.tail_start > first_position:
-            raise ValueError("trace marginal tracking starts after the requested position")
+        if trace.tail_start > cutoff:
+            raise ValueError("trace marginal tracking starts after the first tail position")
         rows = len(trace)
         lo, hi = window if window is not None else (rows // 2, rows)
         if not (0 <= lo < hi <= rows):
             raise ValueError(f"window {window} outside trace of length {rows}")
-        offset = first_position - trace.tail_start
+        offset = cutoff - trace.tail_start
         values.append(trace.marginals_tail[lo:hi, offset:].ravel())
     flat = np.concatenate(values)
     mean = float(flat.mean())
@@ -372,5 +359,4 @@ def tail_marginal_frequency_test(
         ci_low=mean - half_width,
         ci_high=mean + half_width,
         n_samples=int(flat.size),
-        first_position=first_position,
     )

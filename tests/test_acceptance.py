@@ -20,6 +20,7 @@ from umda_lab.experiments import (
     fit_power_model,
     run_experiment,
 )
+from umda_lab.instrumentation import first_hit
 from umda_lab.oracle import (
     enumerate_level_distribution,
     exact_expected_max_leading_ones,
@@ -104,10 +105,12 @@ def test_criterion_03_low_pressure_stall(low_pressure_result):
 def test_criterion_04_no_decrease_before_first_hit(low_pressure_result):
     result = low_pressure_result
     clean = 0
-    for trace, summary in zip(result.traces, result.summaries):
-        if summary.tau is None:
+    alpha = result.params_by_n[100].levels.alpha
+    for trace in result.traces:
+        tau = first_hit(trace.z_mu, alpha)
+        if tau is None:
             continue
-        decreases = int(np.sum(np.diff(trace.z_mu[: summary.tau + 1]) < 0))
+        decreases = int(np.sum(np.diff(trace.z_mu[: tau + 1]) < 0))
         clean += decreases == 0
     _verdict(4, "monotone-before-threshold", clean >= 19, f"{clean}/20 clean")
 

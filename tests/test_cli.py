@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from umda_lab import experiments
+from umda_lab import cli, experiments
 from umda_lab.cli import main
 from umda_lab.reporting import RUNTIME_HEADER, TRACE_HEADER, read_csv
 
@@ -36,6 +36,19 @@ def test_run_rejects_equal_populations(capsys):
     code, _, err = _run_cli(capsys, "run", "--n", "10", "--lambda", "10", "--mu", "10")
     assert code == 2
     assert "mu" in err and "lambda" in err
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_run_trace_rejects_an_unusable_out_dir_before_running(tmp_path, capsys, monkeypatch, out_dir):
+    (tmp_path / "afile").write_text("")
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda config: runs.append(config))
+    args = ["run", "--n", "12", "--lambda", "8", "--mu", "4", "--trace", "--out-dir", str(tmp_path / out_dir)]
+    code, out, err = _run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out_dir: cannot create directory")
+    assert runs == []
 
 
 def test_run_trace_is_byte_identical_across_reruns(tmp_path, capsys):
@@ -107,6 +120,19 @@ def test_experiment_rejects_jobs_below_one(tmp_path, capsys):
     assert code == 2
     assert "jobs" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_experiment_rejects_an_unusable_out_dir_before_running(tmp_path, capsys, monkeypatch, out_dir):
+    (tmp_path / "afile").write_text("")
+    runs = []
+    monkeypatch.setattr(experiments, "run", lambda config: runs.append(config))
+    config_path = _write_config(tmp_path)
+    code, out, err = _run_cli(capsys, "experiment", str(config_path), "--out-dir", str(tmp_path / out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out_dir: cannot create directory")
+    assert runs == []
 
 
 def test_experiment_requires_out_dir(tmp_path, capsys):

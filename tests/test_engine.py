@@ -35,6 +35,10 @@ def test_config_validation():
 
 def test_sort_stable_descending_with_ties():
     assert sort_by_fitness(_pop([2, 5, 5, 0]).fitness_noisy).tolist() == [1, 2, 0, 3]
+    # numpy sorts a four-element array stably with any kind; at population
+    # sizes with many ties only a stable sort keeps the sampling order
+    scores = np.random.default_rng(8).integers(0, 5, size=200)
+    assert sort_by_fitness(scores).tolist() == sorted(range(scores.size), key=lambda i: -scores[i])
 
 
 def test_sort_idempotent_on_sorted_input():

@@ -9,15 +9,14 @@ from test_engine import recorded_level_counts
 from umda_lab import (
     NoiseConfig,
     UmdaConfig,
+    first_hit,
     iteration_stats,
     level_counts,
     noisy_misrank_count,
     run,
-    summarize_trace,
     thresholds,
     z_values,
 )
-from umda_lab.instrumentation import ThresholdParams, low_pressure_condition
 from umda_lab.model import Population
 
 
@@ -117,15 +116,6 @@ def test_threshold_ordering(n, gamma_star, delta):
     assert params.kappa <= params.beta + 1e-9
 
 
-def test_low_pressure_condition():
-    ok = thresholds(100, 0.5, 0.2, epsilon=0.1)
-    assert low_pressure_condition(ok)  # 0.5 >= 1.2 / e^0.9 ~ 0.4879
-    too_low = thresholds(100, 0.3, 0.2, epsilon=0.1)
-    assert not low_pressure_condition(too_low)
-    with pytest.raises(ValueError):
-        low_pressure_condition(thresholds(100, 0.5, 0.2))
-
-
 def test_misrank_count_zero_without_noise():
     pop = _evaluated([[1, 1, 0], [0, 1, 1]])
     for level in range(5):
@@ -169,40 +159,17 @@ def test_iteration_stats_truncates_levels_at_deepest():
     assert misranked == 0
 
 
-def _params(alpha):
-    return ThresholdParams(n=100, gamma_star=0.5, delta=0.2, epsilon=None, alpha=alpha, beta=87.0, kappa=69.0)
-
-
 def test_summarize_trace_tau_zero_indexed():
-    summary = summarize_trace([10, 20, 50], _params(47.0))
-    assert summary.tau == 2
+    assert first_hit([10, 20, 50], 47.0) == 2
 
 
 def test_summarize_trace_tau_absent():
-    assert summarize_trace([10, 20, 30], _params(47.0)).tau is None
-    assert summarize_trace([10, 20, 50], _params(None)).tau is None
+    assert first_hit([10, 20, 30], 47.0) is None
+    assert first_hit([10, 20, 50], None) is None
 
 
 def test_summarize_trace_tau_is_minimal():
-    summary = summarize_trace([10, 48, 20, 50], _params(47.0))
-    assert summary.tau == 1
-
-
-def test_summarize_trace_drift():
-    assert summarize_trace([5, 5, 5, 5], _params(None)).mean_drift == 0.0
-    assert summarize_trace([1, 2, 3, 4], _params(None)).mean_drift == 1.0
-
-
-def test_summarize_trace_window_default_second_half():
-    summary = summarize_trace([0, 0, 10, 10], _params(None))
-    assert summary.window == (2, 4)
-    assert summary.time_avg_z == 10.0
-    explicit = summarize_trace([0, 0, 10, 10], _params(None), window=(0, 2))
-    assert explicit.time_avg_z == 0.0
-    with pytest.raises(ValueError):
-        summarize_trace([1, 2], _params(None), window=(1, 5))
-    with pytest.raises(ValueError):
-        summarize_trace([], _params(None))
+    assert first_hit([10, 48, 20, 50], 47.0) == 1
 
 
 def test_counting_identity_holds_throughout_a_run():

@@ -143,7 +143,7 @@ def test_product_distribution_chi_square():
         key = tuple(int(b) for b in row)
         counts[key] = counts.get(key, 0) + 1
     exact = exact_product_distribution(model)
-    report = empirical_vs_exact(counts, exact, tv_threshold=0.01, chi_square_significance=0.001)
+    report = empirical_vs_exact(counts, exact, tv_threshold=0.01)
     assert report.passed, report
 
 
@@ -163,7 +163,7 @@ def test_first_level_count_matches_binomial():
 
     support = tuple(sorted(pmf))
     exact = ExactDistribution(support=support, probabilities=np.array([pmf[s] for s in support]))
-    report = empirical_vs_exact(counts, exact, tv_threshold=0.01, chi_square_significance=0.001)
+    report = empirical_vs_exact(counts, exact, tv_threshold=0.01)
     assert report.passed, report
 
 

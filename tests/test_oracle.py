@@ -298,13 +298,6 @@ def test_tail_marginal_untouched_model_is_exactly_half():
     assert report.n_samples == 30 - cutoff
 
 
-def test_tail_marginal_rejects_positions_before_cutoff():
-    params = thresholds(30, 0.5, 0.2)
-    trace = _single_iteration_trace(track_from=0)
-    with pytest.raises(ValueError):
-        tail_marginal_frequency_test([trace], params, first_position=0)
-
-
 def test_tail_marginal_requires_snapshots():
     params = thresholds(30, 0.5, 0.2)
     config = UmdaConfig(n=30, lam=4, mu=2, max_evals=4, seed=1)
