@@ -266,13 +266,14 @@ def _oracle_transition(args: argparse.Namespace) -> dict:
     if samples < 1:
         raise ValueError("samples must be at least 1")
     oracle.transition_outcomes(n, args.lam, args.p)  # reject infeasible sizes before allocating
+    configs = {engine: UmdaConfig(n=n, lam=args.lam, mu=args.mu, noise=NoiseConfig(args.p), engine=engine)
+               for engine in ENGINES}  # reject invalid runs before enumerating
     marginals = np.linspace(1.0 - 1.0 / n, 1.0 / n, n)
     exact = oracle.exact_transition(marginals, args.lam, args.mu, args.p)
     engines = {}
-    for engine in ENGINES:
-        config = UmdaConfig(n=n, lam=args.lam, mu=args.mu, noise=NoiseConfig(args.p), engine=engine)
+    for engine, config in configs.items():
         rng = np.random.default_rng(args.seed)
-        comparison = oracle.check_transition(lambda: step(marginals, config, rng), exact, samples)
+        comparison = oracle.check_transition(lambda: step(marginals, config, rng)[2], exact, samples)
         engines[engine] = {
             "tv_distance": comparison.tv_distance,
             "chi_square": comparison.chi_square,

@@ -1,14 +1,13 @@
 """The sample / score / select / update loop, on bits or on leading-ones levels.
 
-The model is a plain float64 array of n marginals.  Two engines share one
-loop: budget, success check, trace recording, marginal snapshots and
-selection.  Each engine's sample/score step returns three plain arrays:
-the true scores, the noisy scores and what its ones-count step reads (the
-bit matrix, or the level engine's reveal ends).  ``sort_by_fitness`` and
-``select_parents`` rank the noisy scores the same way for both.  A
-ones-count step returns the parents' per-position ones counts, and ``run``
-sets the next model to those counts over mu, clamped to the borders and
-checked against them.
+The model is a plain float64 array of n marginals.  One iteration body,
+``step``, serves both engines: it checks the model it samples from against
+the borders, samples and scores ``lambda`` individuals with
+``config.engine`` (the only engine dispatch), ranks the noisy scores with
+``sort_by_fitness`` and ``select_parents``, and counts the parents' ones
+per position.  ``run`` loops over ``step`` (budget, success check, trace
+recording and marginal snapshots) and sets the next model to those counts
+over mu, clamped to the borders; ``oracle transition`` samples steps.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -221,13 +220,14 @@ def update_levels(
 
 
 def run(config: UmdaConfig) -> RunResult:
-    """Iterate until the all-ones string is sampled or the budget is spent.
+    """Loop ``step`` until the all-ones string is sampled or the budget is spent.
 
     The optimum check uses true fitness on every sampled population before
     selection, so noise cannot hide a sampled optimum.  Budget exhaustion is
-    a normal result with ``success`` False.  Level statistics, and with them
-    the counting-identity check, are computed only for the iterations the
-    trace keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th
+    a normal result with ``success`` False.  The next model is the parents'
+    ones counts over mu, clamped to the borders.  Level statistics, and with
+    them the counting-identity check, are computed only for the iterations
+    the trace keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th
     after it, and the final one.
     """
     rng = np.random.default_rng(config.seed)
@@ -237,7 +237,7 @@ def run(config: UmdaConfig) -> RunResult:
     tails: list[np.ndarray] = []
     iterations = 0
     while True:
-        fitness_true, fitness_noisy, seen = _sample(model, config, rng)
+        fitness_true, fitness_noisy, ones = step(model, config, rng)
         t = iterations
         iterations += 1
         evals = config.lam * iterations
@@ -251,8 +251,7 @@ def run(config: UmdaConfig) -> RunResult:
                 tails.append(model[tail_start:].copy())
         if final:
             break
-        model = clamp_vector(_update(fitness_true, fitness_noisy, seen, model, config, rng) / config.mu, config.n)
-        check_marginals(model, config.n)
+        model = clamp_vector(ones / config.mu, config.n)
     trace = None
     if config.record_trace:
         trace = Trace(*np.array(rows, dtype=np.int64).reshape(-1, 6).T, tail_start=tail_start,
@@ -260,32 +259,22 @@ def run(config: UmdaConfig) -> RunResult:
     return RunResult(success=success, evals=evals, iterations=iterations, best_true=best_true, trace=trace)
 
 
-def step(marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator) -> np.ndarray:
-    """One sample, score and select step of ``config.engine``; returns the parents' ones counts.
-
-    ``marginals`` must hold ``config.n`` values inside the borders, as every
-    model ``run`` builds does.
-    """
-    marginals = np.asarray(marginals, dtype=np.float64)
-    check_marginals(marginals, config.n)
-    return _update(*_sample(marginals, config, rng), marginals, config, rng)
-
-
-def _sample(
+def step(
     marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(fitness_true, fitness_noisy, seen)``: ``seen`` is the bit matrix or the reveal ends."""
+    """One iteration of ``config.engine`` from ``marginals``: sample, score, select, count.
+
+    Returns ``(fitness_true, fitness_noisy, ones)``: the scores of the
+    ``config.lam`` sampled individuals and the parents' per-position ones
+    counts.  ``marginals`` is checked on entry (``config.n`` values inside
+    the borders) and never modified.
+    """
+    check_marginals(marginals, config.n)
     if config.engine == "bits":
         pop = evaluate_population(sample_population(marginals, config.lam, rng), config.noise, rng)
-        return pop.fitness_true, pop.fitness_noisy, pop.members
-    return sample_levels(marginals, config.lam, config.noise, rng)
-
-
-def _update(
-    fitness_true: np.ndarray, fitness_noisy: np.ndarray, seen: np.ndarray, marginals: np.ndarray,
-    config: UmdaConfig, rng: np.random.Generator,
-) -> np.ndarray:
-    parents = select_parents(sort_by_fitness(fitness_noisy), config.mu)
-    if config.engine == "bits":
-        return update_model(seen, parents)
-    return update_levels(fitness_true, seen, parents, marginals, rng)
+        fitness_true, fitness_noisy = pop.fitness_true, pop.fitness_noisy
+        count = lambda parents: update_model(pop.members, parents)
+    else:
+        fitness_true, fitness_noisy, reveal_end = sample_levels(marginals, config.lam, config.noise, rng)
+        count = lambda parents: update_levels(fitness_true, reveal_end, parents, marginals, rng)
+    return fitness_true, fitness_noisy, count(select_parents(sort_by_fitness(fitness_noisy), config.mu))

@@ -9,9 +9,9 @@ engines are checked against.  Every enumeration here visits and weights
 each outcome of its space, under a size cap checked before anything of that
 size is allocated; they are correctness anchors, not engines.  The level
 enumeration tallies its populations by radix code in numpy rather than one
-by one in Python, and still shares no code with the chain; it builds the
-bit rows, weights and codes of its populations in fixed-size blocks, so
-only one block of rows is held at a time.
+by one in Python, and still shares no code with the chain.  It and the
+brute-force expected maximum build their bit rows and weights in
+fixed-size blocks, so only one block of rows is held at a time.
 """
 
 from __future__ import annotations
@@ -251,11 +251,20 @@ def exact_expected_max_leading_ones(n: int, k: int, q: float) -> float:
 
 
 def brute_force_expected_max_leading_ones(n: int, k: int, q: float) -> float:
-    """Same expectation by enumerating all 2**(n*k) joint outcomes."""
-    bits = _all_bit_matrices(n * k)
-    weights = np.where(bits == 1, q, 1.0 - q).prod(axis=1)
-    lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, k)
-    return float((lo.max(axis=1) * weights).sum())
+    """Same expectation by enumerating all 2**(n*k) joint outcomes.
+
+    The per-outcome terms are built in blocks into one array, summed once:
+    bit for bit the sum over the whole weight matrix.
+    """
+    outcomes = _enumeration_outcomes(n * k)
+    terms = np.empty(outcomes)
+    for start in range(0, outcomes, _ENUMERATION_BLOCK):
+        stop = min(start + _ENUMERATION_BLOCK, outcomes)
+        bits = _bit_rows(n * k, start, stop)
+        weights = np.where(bits == 1, q, 1.0 - q).prod(axis=1)
+        lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, k)
+        terms[start:stop] = lo.max(axis=1) * weights
+    return float(terms.sum())
 
 
 def total_variation(p: ExactDistribution, q: ExactDistribution) -> float:

@@ -260,6 +260,17 @@ def test_oracle_noise_expectation_default_report_is_pinned(capsys):
     assert report["standard_error"] == 0.001090052030440357
 
 
+def test_oracle_noise_expectation_report_with_a_long_prefix_is_pinned(capsys):
+    # this seed's string has 6 leading ones, so flips of seven positions move its
+    # score and an extra draw anywhere in the stream moves these figures
+    code, out, _ = _run_cli(capsys, "oracle", "noise-expectation", "--seed", "25")
+    assert code == 0
+    report = json.loads(out)
+    assert report["samples"] == 200_000 and report["exact"] == 5.699999999999999
+    assert report["monte_carlo_mean"] == 5.698055
+    assert report["standard_error"] == 0.002546233198548889
+
+
 def test_oracle_noise_expectation_reads_one_copy_of_the_string(capsys):
     import tracemalloc
 
@@ -350,6 +361,17 @@ def test_oracle_transition_rejects_infeasible_before_allocating(capsys):
     assert code == 2
     assert "infeasible" in err
     assert peak < 1_000_000  # the 1e6-entry model alone would take 8 MB
+
+
+def test_oracle_transition_rejects_an_invalid_run_before_enumerating(capsys, monkeypatch):
+    # n=1 at lambda=10 fits the enumeration cap (2**20 outcomes) but is no valid run
+    calls = []
+    monkeypatch.setattr(cli.oracle, "exact_transition", lambda *args: calls.append(args))
+    code, out, err = _run_cli(capsys, "oracle", "transition", "--n", "1", "--lambda", "10", "--p", "0.3")
+    assert code == 2
+    assert out == ""
+    assert "problem size must be at least 2" in err
+    assert calls == []
 
 
 def test_run_engine_flag(tmp_path, capsys):

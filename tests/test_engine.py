@@ -247,6 +247,27 @@ def test_untraced_run_matches_traced_run(engine_name, noise_p, shape, solved, mo
         assert traced.best_true == traced.trace.best_true[-1]
 
 
+@pytest.mark.parametrize("shape, solved", [(_SOLVED, True), (_TRUNCATED, False)], ids=["solved", "truncated"])
+@pytest.mark.parametrize("noise_p", [0.0, 0.4])
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_run_is_the_loop_over_step(engine_name, noise_p, shape, solved):
+    # replaying ``step`` by hand from the run's seed gives every model and the result of ``run``
+    config = UmdaConfig(**shape, noise=NoiseConfig(noise_p), seed=3, track_marginals_from=0, engine=engine_name)
+    rng = np.random.default_rng(config.seed)
+    model = init_model(config.n)
+    models = []
+    while True:
+        models.append(model.copy())
+        fitness_true, _, ones = engine.step(model, config, rng)
+        assert np.array_equal(model, models[-1])  # ``step`` leaves its model alone
+        if fitness_true.max() == config.n or config.lam * len(models) >= config.max_evals:
+            break
+        model = clamp_vector(ones / config.mu, config.n)
+    result = run(config)
+    assert (result.success, result.iterations, result.best_true) == (solved, len(models), fitness_true.max())
+    assert np.array_equal(result.trace.marginals_tail, np.array(models))
+
+
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     calls = []
@@ -284,7 +305,7 @@ def test_both_engines_select_through_one_path(engine_name, monkeypatch):
     config = UmdaConfig(**_TRUNCATED, noise=NoiseConfig(0.4), seed=31, engine=engine_name)
     result = run(replace(config, record_trace=False))
     assert result.iterations == 50
-    assert calls == {"sort": 49, "select": 49}  # the final iteration does not select
+    assert calls == {"sort": 50, "select": 50}  # every iteration selects, the final one too
 
 
 @contextmanager

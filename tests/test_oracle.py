@@ -153,6 +153,37 @@ def test_expected_max_matches_brute_force():
         assert closed == pytest.approx(brute, abs=1e-12)
 
 
+def _brute_force_whole_matrix(n, k, q):
+    """The expected maximum from one whole 2**(n*k)-row weight matrix, as a reference."""
+    bits = _all_bit_matrices(n * k)
+    weights = np.where(bits == 1, q, 1.0 - q).prod(axis=1)
+    lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, k)
+    return float((lo.max(axis=1) * weights).sum())
+
+
+@pytest.mark.parametrize("block", [1000, 4096])
+def test_brute_force_blocks_equal_the_whole_matrix_bit_for_bit(monkeypatch, block):
+    from umda_lab import oracle
+
+    monkeypatch.setattr(oracle, "_ENUMERATION_BLOCK", block)
+    cases = [(n, k, q) for n, k in [(1, 1), (2, 3), (3, 2), (5, 2), (2, 7), (4, 4), (16, 1), (1, 16)]
+             for q in (0.3, 0.5, 0.9)]
+    for n, k, q in cases:
+        assert brute_force_expected_max_leading_ones(n, k, q) == _brute_force_whole_matrix(n, k, q), (n, k, q)
+
+
+def test_brute_force_holds_one_block_of_rows():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        brute_force_expected_max_leading_ones(4, 4, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # the whole 2**16 x 16 float64 weight matrix alone takes 8 MiB
+
+
 def test_expected_max_monotone_in_k_and_q():
     values_k = [exact_expected_max_leading_ones(12, k, 0.5) for k in range(1, 40)]
     assert all(b >= a for a, b in zip(values_k, values_k[1:]))
@@ -262,7 +293,7 @@ def _transition_step(marginals, noise_p, engine, seed, shift=0.0):
     sampled = np.clip(np.asarray(marginals) + shift, 1.0 / n, 1.0 - 1.0 / n)
     config = UmdaConfig(n=n, lam=4, mu=2, noise=NoiseConfig(noise_p), engine=engine)
     rng = np.random.default_rng(seed)
-    return lambda: step(sampled, config, rng)
+    return lambda: step(sampled, config, rng)[2]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
