@@ -5,9 +5,13 @@ The model is a plain float64 array of n marginals.  One iteration body,
 the borders, samples and scores ``lambda`` individuals with
 ``config.engine`` (the only engine dispatch), ranks the noisy scores with
 ``sort_by_fitness`` and ``select_parents``, and counts the parents' ones
-per position.  ``run`` loops over ``step`` (budget, success check, trace
-recording and marginal snapshots) and sets the next model to those counts
-over mu, clamped to the borders; ``oracle transition`` samples steps.
+per position.  Scores are leading-ones values in [0, n], so for n up to
+32,768 the ranking is a stable radix sort of 16-bit keys.  ``run`` loops
+over ``step`` (budget, success check, trace recording and marginal
+snapshots) and sets the next model to those counts over mu, clamped to the
+borders; it keeps the score arrays of the iterations the trace records and
+computes their level statistics a bounded block of rows at a time.
+``oracle transition`` samples steps.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -53,6 +57,11 @@ ENGINES = ("levels", "bits")
 # after it, and the final one.
 DENSE_UNTIL = 100_000
 THIN_EVERY = 100
+
+# ``run`` passes the recorded iterations' scores to ``iteration_stats`` in
+# blocks of about this many 8-byte values: lambda scores and n + 1 level
+# counts per row (512 KiB).
+_STATS_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -128,11 +137,21 @@ class RunResult:
 
 
 def sort_by_fitness(fitness_noisy: np.ndarray) -> np.ndarray:
-    """Indices by noisy fitness, non-increasing; ties keep sampling order."""
-    order = np.argsort(-fitness_noisy, kind="stable")
+    """Indices by noisy fitness, non-increasing; ties keep sampling order.
+
+    The negated scores are sorted as int16 keys, which numpy's stable sort
+    handles as a radix sort.  The cast is exact for scores in [-32767, 32768];
+    a score outside wraps, the ranked scores are then out of order, and the
+    int64 key is sorted instead.  A stable order whose ranked scores are
+    non-increasing is unique, so both keys give the same indices.
+    """
+    order = np.argsort((-fitness_noisy).astype(np.int16), kind="stable")
     ranked = fitness_noisy[order]
     if (ranked[1:] > ranked[:-1]).any():
-        raise ValueError("sorted population must have non-increasing fitness")
+        order = np.argsort(-fitness_noisy, kind="stable")
+        ranked = fitness_noisy[order]
+        if (ranked[1:] > ranked[:-1]).any():
+            raise ValueError("sorted population must have non-increasing fitness")
     return order
 
 
@@ -199,21 +218,24 @@ def update_levels(
 
     At position j: every parent with more than j leading ones has a one, a
     parent with exactly j has a zero, and a parent with fewer has a
-    revealed bit or an unseen Bernoulli(p_j) one.
+    revealed bit or an unseen Bernoulli(p_j) one.  ``reveal_end is
+    fitness_true``, as ``sample_levels`` returns it when no flip hit a first
+    zero, means nothing was revealed.
     """
     n, mu = marginals.shape[0], parents.shape[0]
     lo = fitness_true[parents]
-    end = reveal_end[parents]
     per_level = np.bincount(lo, minlength=n + 1)
     at_most = np.cumsum(per_level)  # at_most[j] = #(LO <= j)
     ones = mu - at_most[:n]
     unseen = at_most[:n] - per_level[:n]  # #(LO < j), less the revealed bits below
-    shown = end > lo
-    if shown.any():
-        start, stop = lo[shown] + 1, end[shown]
-        ones_seen = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(stop, minlength=n + 1))[:n]
-        ones += ones_seen
-        unseen -= ones_seen + np.bincount(stop[stop < n], minlength=n)
+    if reveal_end is not fitness_true:
+        end = reveal_end[parents]
+        shown = end > lo
+        if shown.any():
+            start, stop = lo[shown] + 1, end[shown]
+            ones_seen = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(stop, minlength=n + 1))[:n]
+            ones += ones_seen
+            unseen -= ones_seen + np.bincount(stop[stop < n], minlength=n)
     first = lo.min() + 1  # no parent has an unseen bit at or before its lowest LO
     ones[first:] += rng.binomial(unseen[first:], marginals[first:])
     return ones
@@ -228,12 +250,17 @@ def run(config: UmdaConfig) -> RunResult:
     ones counts over mu, clamped to the borders.  Level statistics, and with
     them the counting-identity check, are computed only for the iterations
     the trace keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th
-    after it, and the final one.
+    after it, and the final one.  Their score arrays are kept and passed to
+    ``iteration_stats`` a block of rows at a time, the last block before the
+    ``Trace`` is built.
     """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
     tail_start = config.track_marginals_from
-    rows: list[tuple[int, ...]] = []  # in TRACE_HEADER order
+    block_rows = max(1, _STATS_BLOCK_VALUES // (config.lam + config.n + 1))
+    recorded: list[tuple[int, int]] = []  # (t, best_true) of every recorded iteration
+    scores: list[tuple[np.ndarray, np.ndarray]] = []  # recorded (true, noisy) scores not yet in ``stats``
+    stats: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (z_mu, z_star, misranked) per block
     tails: list[np.ndarray] = []
     iterations = 0
     while True:
@@ -245,8 +272,11 @@ def run(config: UmdaConfig) -> RunResult:
         success = best_true == config.n
         final = success or evals >= config.max_evals
         if config.record_trace and (final or t < DENSE_UNTIL or t % THIN_EVERY == 0):
-            z_mu, z_star, misranked = iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
-            rows.append((t, z_mu, z_star, best_true, evals, misranked))
+            recorded.append((t, best_true))
+            scores.append((fitness_true, fitness_noisy))
+            if len(scores) == block_rows:
+                stats.append(_block_stats(scores, config))
+                scores = []
             if tail_start is not None:
                 tails.append(model[tail_start:].copy())
         if final:
@@ -254,9 +284,29 @@ def run(config: UmdaConfig) -> RunResult:
         model = clamp_vector(ones / config.mu, config.n)
     trace = None
     if config.record_trace:
-        trace = Trace(*np.array(rows, dtype=np.int64).reshape(-1, 6).T, tail_start=tail_start,
-                      marginals_tail=np.array(tails) if tail_start is not None else None)
+        if scores:
+            stats.append(_block_stats(scores, config))
+        t_column, best_column = np.array(recorded, dtype=np.int64).T
+        z_mu, z_star, misranked = (np.concatenate(column) for column in zip(*stats))
+        trace = Trace(t_column, z_mu, z_star, best_column, config.lam * (t_column + 1), misranked,
+                      tail_start=tail_start, marginals_tail=np.array(tails) if tail_start is not None else None)
     return RunResult(success=success, evals=evals, iterations=iterations, best_true=best_true, trace=trace)
+
+
+def _block_stats(
+    scores: list[tuple[np.ndarray, np.ndarray]], config: UmdaConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``iteration_stats`` of recorded iterations' (true, noisy) scores, one row per iteration.
+
+    Without noise every noisy array is its true array, so only the true
+    scores are stacked and ``iteration_stats`` skips the misrank count.
+    """
+    fitness_true = np.array([true for true, _ in scores])
+    if all(noisy is true for true, noisy in scores):
+        fitness_noisy = fitness_true
+    else:
+        fitness_noisy = np.array([noisy for _, noisy in scores])
+    return iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
 
 
 def step(

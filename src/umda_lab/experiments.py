@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -574,10 +575,11 @@ def write_bundle(result, out_dir: Path) -> dict[str, Path]:
     if isinstance(result, TraceExperimentResult):
         trace_dir = out_dir / "traces"
         trace_dir.mkdir(exist_ok=True)
-        for row, trace in zip(result.rows, result.traces):
-            write_trace_csv(trace_dir / f"trace_n{row.n}_r{row.replication:03d}.csv", trace)
+        trace_paths = [trace_dir / f"trace_n{row.n}_r{row.replication:03d}.csv" for row in result.rows]
+        for trace_path, trace in zip(trace_paths, result.traces):
+            write_trace_csv(trace_path, trace)
         lead_trace = result.traces[0]
-        write_trace_csv(out_dir / "trace.csv", lead_trace)
+        shutil.copyfile(trace_paths[0], out_dir / "trace.csv")  # the lead replication's bytes
         paths["trace"] = out_dir / "trace.csv"
         lead_n = result.rows[0].n
         levels = result.params_by_n[lead_n].levels

@@ -18,6 +18,8 @@ RUNTIME_HEADER = ("n", "replication", "seed", "lambda", "mu", "evals", "iteratio
 
 
 def format_cell(value) -> str:
+    if type(value) is int:  # the common cell; a bool is not ``int`` by type
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

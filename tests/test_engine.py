@@ -49,6 +49,20 @@ def test_sort_all_equal_keeps_sampling_order():
     assert sort_by_fitness(_pop([3, 3, 3, 3]).fitness_noisy).tolist() == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("scores", [
+    np.random.default_rng(4).integers(0, 101, size=200),
+    np.full(67, 12),
+    np.array([5]),
+    np.array([40_000, 3, 32_768, 40_000, 70_000, 0, 32_767, 3]),  # beyond int16: the int64 key
+    np.array([-40_000, 2, -32_768, 2, 0]),
+], ids=["random", "tied", "one", "above_int16", "below_int16"])
+def test_sort_by_fitness_is_the_stable_int64_argsort(scores):
+    order = sort_by_fitness(scores)
+    reference = np.argsort(-scores, kind="stable")
+    assert order.dtype == reference.dtype == np.intp
+    np.testing.assert_array_equal(order, reference)
+
+
 def test_select_parents_takes_prefix():
     pop = _pop([0, 2, 1, 3])
     order = sort_by_fitness(pop.fitness_noisy)
@@ -274,7 +288,7 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     original = engine.iteration_stats
 
     def counting(fitness_true, fitness_noisy, n, mu):
-        calls.append(fitness_true.shape[0])
+        calls.append(fitness_true.reshape(-1, fitness_true.shape[-1]))
         return original(fitness_true, fitness_noisy, n, mu)
 
     monkeypatch.setattr(engine, "iteration_stats", counting)
@@ -283,7 +297,10 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     run(replace(config, record_trace=False))
     assert calls == []
     traced = run(config)
-    assert calls == [config.lam] * len(traced.trace)
+    rows = np.concatenate(calls)
+    # every recorded iteration's population passes once, in trace order
+    assert rows.shape == (len(traced.trace), config.lam)
+    assert rows.max(axis=1).tolist() == traced.trace.best_true.tolist()
     assert traced.trace.t.tolist()[-1] == 49
 
 
@@ -310,13 +327,18 @@ def test_both_engines_select_through_one_path(engine_name, monkeypatch):
 
 @contextmanager
 def recorded_level_counts():
-    """Collect the full-length (C, D) vectors of every ``iteration_stats`` call."""
+    """Collect the full-length (C, D) vectors of every population ``iteration_stats`` counts.
+
+    ``run`` counts blocks of rows, so each recorded block is split into
+    per-row pairs.
+    """
     counts = []
     original = instrumentation.level_counts
 
     def recording(fitness, n):
-        counts.append(original(fitness, n))
-        return counts[-1]
+        c, d = original(fitness, n)
+        counts.extend(zip(c.reshape(-1, n), d.reshape(-1, n)))
+        return c, d
 
     instrumentation.level_counts = recording
     try:
@@ -366,6 +388,40 @@ class _RecordingRng:
     def binomial(self, trials, p):
         self.trials = np.asarray(trials).copy()
         return np.zeros_like(trials)
+
+
+def _seen_bits(lo, end, n):
+    """Loop reference for ``update_levels``: per position, parents' seen ones and unseen bits."""
+    ones, unseen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for lo_i, end_i in zip(lo, end):
+        for j in range(n):
+            if j < lo_i or lo_i < j < end_i:
+                ones[j] += 1
+            elif j != lo_i and j != end_i:
+                unseen[j] += 1
+    return ones, unseen
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("noise_p", [0.0, 0.9])
+def test_update_levels_counts_what_sample_levels_revealed(noise_p, seed):
+    n, lam, mu = 12, 30, 10
+    marginals = np.random.default_rng(seed).uniform(0.75, 1.0 - 1.0 / n, size=n)
+    rng = np.random.default_rng(100 + seed)
+    fitness_true, fitness_noisy, reveal_end = engine.sample_levels(marginals, lam, NoiseConfig(noise_p), rng)
+    parents = select_parents(sort_by_fitness(fitness_noisy), mu)
+    revealed = reveal_end is not fitness_true
+    assert revealed == (noise_p > 0.0)  # these seeds do reveal ones runs under noise
+    ones_seen, unseen = _seen_bits(fitness_true[parents], reveal_end[parents], n)
+    recording = _RecordingRng()
+    ones = update_levels(fitness_true, reveal_end, parents, marginals, recording)
+    first = fitness_true[parents].min() + 1
+    np.testing.assert_array_equal(ones, ones_seen)
+    np.testing.assert_array_equal(recording.trials, unseen[first:])
+    # the bookkeeping skipped when nothing was revealed counts the same as an equal copy
+    draws = [update_levels(fitness_true, end, parents, marginals, np.random.default_rng(seed))
+             for end in (reveal_end, reveal_end.copy())]
+    np.testing.assert_array_equal(draws[0], draws[1])
 
 
 def test_update_levels_counts_seen_and_unseen_bits():

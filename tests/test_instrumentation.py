@@ -9,6 +9,8 @@ from test_engine import recorded_level_counts
 from umda_lab import (
     NoiseConfig,
     UmdaConfig,
+    engine,
+    instrumentation,
     first_hit,
     iteration_stats,
     level_counts,
@@ -17,7 +19,8 @@ from umda_lab import (
     thresholds,
     z_values,
 )
-from umda_lab.model import Population
+from umda_lab.engine import ENGINES
+from umda_lab.model import Population, clamp_vector, init_model
 
 
 def _evaluated(rows, fitness_noisy=None):
@@ -170,6 +173,91 @@ def test_summarize_trace_tau_absent():
 
 def test_summarize_trace_tau_is_minimal():
     assert first_hit([10, 48, 20, 50], 47.0) == 1
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_block_statistics_equal_row_by_row(rows, noisy):
+    n, lam, mu = 40, 40, 6
+    rng = np.random.default_rng(rows)
+    fitness_true = np.minimum(rng.geometric(0.15, size=(rows, lam)) - 1, n)
+    fitness_noisy = np.minimum(fitness_true + rng.integers(0, 8, size=(rows, lam)), n) if noisy else fitness_true
+    c, d = level_counts(fitness_true, n)
+    block = iteration_stats(fitness_true, fitness_noisy, n, mu)
+    assert c.shape == d.shape == (rows, n)
+    assert all(column.shape == (rows,) for column in block)
+    for i in range(rows):
+        row_noisy = fitness_noisy[i] if noisy else fitness_true[i]
+        row_c, row_d = level_counts(fitness_true[i], n)
+        np.testing.assert_array_equal(c[i], row_c)
+        np.testing.assert_array_equal(d[i], row_d)
+        assert tuple(column[i] for column in block) == iteration_stats(fitness_true[i], row_noisy, n, mu)
+    assert block[2].all() == noisy  # every noisy row misranks some
+
+
+def _replayed_trace(config):
+    """Trace columns by hand: ``step`` in a loop and ``iteration_stats`` on every recorded row."""
+    rng = np.random.default_rng(config.seed)
+    model = init_model(config.n)
+    columns = []
+    t = 0
+    while True:
+        fitness_true, fitness_noisy, ones = engine.step(model, config, rng)
+        best = int(fitness_true.max())
+        final = best == config.n or config.lam * (t + 1) >= config.max_evals
+        if final or t < engine.DENSE_UNTIL or t % engine.THIN_EVERY == 0:
+            stats = iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
+            columns.append((t, stats[0], stats[1], best, config.lam * (t + 1), stats[2]))
+        if final:
+            return np.array(columns).T
+        model = clamp_vector(ones / config.mu, config.n)
+        t += 1
+
+
+@pytest.mark.parametrize("noise_p", [0.0, 0.4])
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_trace_statistics_in_blocks_equal_the_row_by_row_replay(engine_name, noise_p, monkeypatch):
+    config = UmdaConfig(n=30, lam=4, mu=2, max_evals=200, noise=NoiseConfig(noise_p), seed=5, engine=engine_name)
+    monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
+    monkeypatch.setattr(engine, "THIN_EVERY", 6)
+    monkeypatch.setattr(engine, "_STATS_BLOCK_VALUES", 4 * (config.lam + config.n + 1))  # 4 rows a block
+    blocks = []
+    original = engine.iteration_stats
+
+    def counting(fitness_true, fitness_noisy, n, mu):
+        blocks.append(fitness_true.shape[0])
+        return original(fitness_true, fitness_noisy, n, mu)
+
+    monkeypatch.setattr(engine, "iteration_stats", counting)
+    trace = run(config).trace
+    assert blocks == [4, 4, 4, 4, 2]  # 18 recorded rows: four full blocks, the last one partial
+    monkeypatch.setattr(engine, "iteration_stats", original)
+    replay = _replayed_trace(config)
+    for column, want in zip((trace.t, trace.z_mu, trace.z_star, trace.best_true, trace.evals, trace.misranked), replay):
+        assert column.dtype == np.int64
+        np.testing.assert_array_equal(column, want)
+
+
+@pytest.mark.parametrize("bad_row", [0, 5, 13])
+def test_a_counting_identity_violation_in_any_block_raises(bad_row, monkeypatch):
+    config = UmdaConfig(n=30, lam=4, mu=2, max_evals=200, seed=5)
+    monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
+    monkeypatch.setattr(engine, "THIN_EVERY", 6)
+    monkeypatch.setattr(engine, "_STATS_BLOCK_VALUES", 4 * (config.lam + config.n + 1))
+    seen = [0]
+    original = instrumentation.level_counts
+
+    def corrupting(fitness, n):
+        c, d = original(fitness, n)
+        rows = d.reshape(-1, n)
+        if seen[0] <= bad_row < seen[0] + rows.shape[0]:
+            rows[bad_row - seen[0], 3] += 1
+        seen[0] += rows.shape[0]
+        return c, d
+
+    monkeypatch.setattr(instrumentation, "level_counts", corrupting)
+    with pytest.raises(AssertionError, match="counting identity"):
+        run(config)
 
 
 def test_counting_identity_holds_throughout_a_run():
