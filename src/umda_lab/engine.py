@@ -33,7 +33,9 @@ O(n + lambda log n) per iteration instead of O(lambda n);
 order per iteration: lambda uniforms for the leading-ones values, then
 (noise only) lambda coins, one flip index per noisy individual and one
 uniform per individual whose flip hit its first zero, then one binomial
-per position.
+per position.  Without noise the lambda uniforms are sorted before they
+are turned into values, so the population comes out ranked and
+``sort_by_fitness`` keeps its order; the stream is the same.
 
 Each run owns one random stream, so every run is bit-reproducible from its
 seed and engine.
@@ -139,12 +141,17 @@ class RunResult:
 def sort_by_fitness(fitness_noisy: np.ndarray) -> np.ndarray:
     """Indices by noisy fitness, non-increasing; ties keep sampling order.
 
-    The negated scores are sorted as int16 keys, which numpy's stable sort
-    handles as a radix sort.  The cast is exact for scores in [-32767, 32768];
-    a score outside wraps, the ranked scores are then out of order, and the
-    int64 key is sorted instead.  A stable order whose ranked scores are
-    non-increasing is unique, so both keys give the same indices.
+    Scores that are already non-increasing, as ``sample_levels`` returns
+    them without noise, get the identity order: it is the stable order, and
+    the test that finds it is also its rank check.  Other scores are sorted
+    as negated int16 keys, which numpy's stable sort handles as a radix
+    sort.  The cast is exact for scores in [-32767, 32768]; a score outside
+    wraps, the ranked scores are then out of order, and the int64 key is
+    sorted instead.  A stable order whose ranked scores are non-increasing
+    is unique, so every path gives the same indices.
     """
+    if not (fitness_noisy[1:] > fitness_noisy[:-1]).any():
+        return np.arange(fitness_noisy.shape[0])
     order = np.argsort((-fitness_noisy).astype(np.int16), kind="stable")
     ranked = fitness_noisy[order]
     if (ranked[1:] > ranked[:-1]).any():
@@ -181,16 +188,24 @@ def sample_levels(
     ``reveal_end[i] == fitness_true[i]``.
 
     P(LO > k) = p_0 * ... * p_k, so an individual's leading-ones value is
-    the number of these prefix products above one uniform.  Noise uses the
-    bit engine's coin and flip index draws.  A flip below LO scores the flip
-    index, a flip above LO scores LO, and a flip of the first zero scores
-    LO + 1 + the ones run after it, drawn by the same inverse CDF given the
-    prefix through LO.
+    the number of these prefix products above one uniform.  Without noise
+    the ``size`` uniforms are sorted first, so the values come out ranked,
+    non-increasing.  Individuals are exchangeable and tied ones are
+    identical, so the ranking changes neither the law nor anything
+    selection, the update or the statistics read, and the stream still
+    holds exactly ``size`` uniforms.  Noise keeps sampling order, because
+    coin i belongs to individual i, and uses the bit engine's coin and flip
+    index draws.  A flip below LO scores the flip index, a flip above LO
+    scores LO, and a flip of the first zero scores LO + 1 + the ones run
+    after it, drawn by the same inverse CDF given the prefix through LO.
     """
     n = marginals.shape[0]
-    survival = np.cumprod(marginals)  # survival[k] = P(LO > k)
+    survival = np.multiply.accumulate(marginals)  # survival[k] = P(LO > k)
     descending = -survival
-    lo = np.searchsorted(descending, -rng.random(size))
+    keys = rng.random(size)
+    if not noise.active:
+        keys.sort()  # ascending keys give non-increasing LO values
+    lo = np.searchsorted(descending, -keys)
     noisy, reveal_end = lo, lo
     if noise.active:
         coins = rng.random(size)
@@ -225,7 +240,7 @@ def update_levels(
     n, mu = marginals.shape[0], parents.shape[0]
     lo = fitness_true[parents]
     per_level = np.bincount(lo, minlength=n + 1)
-    at_most = np.cumsum(per_level)  # at_most[j] = #(LO <= j)
+    at_most = np.add.accumulate(per_level)  # at_most[j] = #(LO <= j)
     ones = mu - at_most[:n]
     unseen = at_most[:n] - per_level[:n]  # #(LO < j), less the revealed bits below
     if reveal_end is not fitness_true:
@@ -233,7 +248,7 @@ def update_levels(
         shown = end > lo
         if shown.any():
             start, stop = lo[shown] + 1, end[shown]
-            ones_seen = np.cumsum(np.bincount(start, minlength=n + 1) - np.bincount(stop, minlength=n + 1))[:n]
+            ones_seen = np.add.accumulate(np.bincount(start, minlength=n + 1) - np.bincount(stop, minlength=n + 1))[:n]
             ones += ones_seen
             unseen -= ones_seen + np.bincount(stop[stop < n], minlength=n)
     first = lo.min() + 1  # no parent has an unseen bit at or before its lowest LO

@@ -1,3 +1,4 @@
+import copy
 import os
 from contextlib import contextmanager
 from dataclasses import replace
@@ -55,7 +56,8 @@ def test_sort_all_equal_keeps_sampling_order():
     np.array([5]),
     np.array([40_000, 3, 32_768, 40_000, 70_000, 0, 32_767, 3]),  # beyond int16: the int64 key
     np.array([-40_000, 2, -32_768, 2, 0]),
-], ids=["random", "tied", "one", "above_int16", "below_int16"])
+    np.array([9, 9, 7, 7, 7, 3, 0, 0]),  # already ranked: the identity order
+], ids=["random", "tied", "one", "above_int16", "below_int16", "ranked_ties"])
 def test_sort_by_fitness_is_the_stable_int64_argsort(scores):
     order = sort_by_fitness(scores)
     reference = np.argsort(-scores, kind="stable")
@@ -380,6 +382,51 @@ def test_select_levels_is_stable_top_mu():
     assert select_parents(sort_by_fitness(_levels([2, 5, 5, 0])), 2).tolist() == [1, 2]
     assert select_parents(sort_by_fitness(_levels([3, 3, 3, 0])), 2).tolist() == [0, 1]
     assert select_parents(sort_by_fitness(_levels([7, 4, 2, 1])), 3).tolist() == [0, 1, 2]
+
+
+def _inverse_cdf_levels(marginals, uniforms):
+    """Loop reference: each uniform's leading-ones value, in sampling order, from the prefix products."""
+    survival, product = [], 1.0
+    for p in marginals:
+        product *= p
+        survival.append(product)  # survival[k] = P(LO > k)
+    return np.array([sum(s > u for s in survival) for u in uniforms], dtype=np.int64)
+
+
+_SAMPLER_CASES = {
+    "one": (np.full(10, 0.5), 1),
+    "all_equal": (np.full(50, 0.9), 200),
+    "underflow": (np.full(1200, 1.0 / 1200), 300),  # P(LO > k) underflows to 0 from k ~ 100
+    "two": (np.full(2, 0.5), 40),  # LO = n occurs
+    "mixed": (np.random.default_rng(2).uniform(0.5, 0.99, size=80), 320),
+}
+
+
+@pytest.mark.parametrize("case", _SAMPLER_CASES, ids=list(_SAMPLER_CASES))
+def test_noise_free_sample_levels_is_the_ranked_inverse_cdf(case):
+    marginals, lam = _SAMPLER_CASES[case]
+    rng = np.random.default_rng(41)
+    clone = copy.deepcopy(rng)
+    fitness_true, fitness_noisy, reveal_end = engine.sample_levels(marginals, lam, NoiseConfig(0.0), rng)
+    reference = _inverse_cdf_levels(marginals, clone.random(lam))
+    # one population, nothing revealed: the reference's multiset, ranked non-increasing
+    assert fitness_noisy is fitness_true and reveal_end is fitness_true
+    np.testing.assert_array_equal(fitness_true, np.sort(reference)[::-1])
+    # exactly lam doubles drawn
+    assert rng.bit_generator.state == clone.bit_generator.state
+    if case == "two":
+        assert (fitness_true == 2).any() and (fitness_true == 0).any()
+    if case == "underflow":
+        assert np.multiply.accumulate(marginals)[-1] == 0.0
+
+
+def test_noisy_sample_levels_keeps_sampling_order():
+    # coin i belongs to individual i, so the values are not ranked under noise
+    marginals, lam = _SAMPLER_CASES["mixed"]
+    rng = np.random.default_rng(43)
+    clone = copy.deepcopy(rng)
+    fitness_true, _, _ = engine.sample_levels(marginals, lam, NoiseConfig(0.5), rng)
+    np.testing.assert_array_equal(fitness_true, _inverse_cdf_levels(marginals, clone.random(lam)))
 
 
 class _RecordingRng:
