@@ -13,9 +13,7 @@ from .instrumentation import (
 )
 from .model import (
     Population,
-    clamp_to_margins,
     init_model,
-    sample_individual,
     sample_population,
 )
 from .objectives import (
@@ -23,7 +21,6 @@ from .objectives import (
     evaluate_population,
     expected_noisy_fitness,
     leading_ones,
-    noisy_leading_ones,
 )
 
 __all__ = [
@@ -34,7 +31,6 @@ __all__ = [
     "ThresholdParams",
     "Trace",
     "UmdaConfig",
-    "clamp_to_margins",
     "evaluate_population",
     "expected_noisy_fitness",
     "first_hit",
@@ -42,10 +38,8 @@ __all__ = [
     "iteration_stats",
     "leading_ones",
     "level_counts",
-    "noisy_leading_ones",
     "noisy_misrank_count",
     "run",
-    "sample_individual",
     "sample_population",
     "select_parents",
     "sort_by_fitness",

@@ -3,15 +3,18 @@
 The model is a plain float64 array of n marginals.  One iteration body,
 ``step``, serves both engines: it checks the model it samples from against
 the borders, samples and scores ``lambda`` individuals with
-``config.engine`` (the only engine dispatch), ranks the noisy scores with
-``sort_by_fitness`` and ``select_parents``, and counts the parents' ones
-per position.  Scores are leading-ones values in [0, n], so for n up to
-32,768 the ranking is a stable radix sort of 16-bit keys.  ``run`` loops
-over ``step`` (budget, success check, trace recording and marginal
-snapshots) and sets the next model to those counts over mu, clamped to the
-borders; it keeps the score arrays of the iterations the trace records and
-computes their level statistics a bounded block of rows at a time.
-``oracle transition`` samples steps.
+``config.engine`` (the only engine dispatch), takes the mu best by noisy
+score, ties in sampling order, and counts the parents' ones per position.
+``bits`` ranks its population with ``sort_by_fitness`` and
+``select_parents``; ``levels`` populations come out of the sampler ranked,
+so their parents are the first mu entries.  ``run`` loops over ``step``
+(budget, success check, trace recording and marginal snapshots) and looks
+the next model up in a table built once per run: entry k is k/mu clamped
+to the borders, the same division and clamp for every count.  Every count
+is checked to lie in [0, mu], so every model ``run`` makes is inside the
+borders and it skips ``step``'s border check.  It keeps the score arrays
+of the iterations the trace records and computes their level statistics
+a bounded block of rows at a time.  ``oracle transition`` samples steps.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -33,9 +36,10 @@ O(n + lambda log n) per iteration instead of O(lambda n);
 order per iteration: lambda uniforms for the leading-ones values, then
 (noise only) lambda coins, one flip index per noisy individual and one
 uniform per individual whose flip hit its first zero, then one binomial
-per position.  Without noise the lambda uniforms are sorted before they
-are turned into values, so the population comes out ranked and
-``sort_by_fitness`` keeps its order; the stream is the same.
+per position.  The population comes out ranked by noisy score: without
+noise the lambda uniforms are sorted before they are turned into values;
+with noise, where coin i belongs to individual i, the scored population
+is stable-argsorted once.  Neither ranking draws anything.
 
 Each run owns one random stream, so every run is bit-reproducible from its
 seed and engine.
@@ -141,25 +145,18 @@ class RunResult:
 def sort_by_fitness(fitness_noisy: np.ndarray) -> np.ndarray:
     """Indices by noisy fitness, non-increasing; ties keep sampling order.
 
-    Scores that are already non-increasing, as ``sample_levels`` returns
-    them without noise, get the identity order: it is the stable order, and
-    the test that finds it is also its rank check.  Other scores are sorted
-    as negated int16 keys, which numpy's stable sort handles as a radix
-    sort.  The cast is exact for scores in [-32767, 32768]; a score outside
-    wraps, the ranked scores are then out of order, and the int64 key is
-    sorted instead.  A stable order whose ranked scores are non-increasing
-    is unique, so every path gives the same indices.
+    One stable argsort of the negated scores, checked: the ranked scores
+    must come out non-increasing.  Only ``bits`` populations need it;
+    ``sample_levels`` returns its populations already ranked.
     """
-    if not (fitness_noisy[1:] > fitness_noisy[:-1]).any():
-        return np.arange(fitness_noisy.shape[0])
-    order = np.argsort((-fitness_noisy).astype(np.int16), kind="stable")
-    ranked = fitness_noisy[order]
-    if (ranked[1:] > ranked[:-1]).any():
-        order = np.argsort(-fitness_noisy, kind="stable")
-        ranked = fitness_noisy[order]
-        if (ranked[1:] > ranked[:-1]).any():
-            raise ValueError("sorted population must have non-increasing fitness")
+    order = np.argsort(-fitness_noisy, kind="stable")
+    _check_ranked(fitness_noisy[order])
     return order
+
+
+def _check_ranked(fitness_noisy: np.ndarray) -> None:
+    if (fitness_noisy[1:] > fitness_noisy[:-1]).any():
+        raise ValueError("sorted population must have non-increasing fitness")
 
 
 def select_parents(order: np.ndarray, mu: int) -> np.ndarray:
@@ -177,52 +174,62 @@ def update_model(members: np.ndarray, parents: np.ndarray) -> np.ndarray:
 def sample_levels(
     marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``size`` leading-ones values and score them, one evaluation each.
+    """Draw ``size`` leading-ones values and score them, one evaluation each, ranked.
 
-    Returns ``(fitness_true, fitness_noisy, reveal_end)``.  Individual i has
-    ``fitness_true[i]`` leading ones followed by a zero (unless it is the
-    optimum).  Its later bits were never drawn, except when noise flipped
-    that first zero: then the ones run after it was revealed, so positions
-    ``fitness_true[i] + 1 .. reveal_end[i] - 1`` are ones and position
-    ``reveal_end[i]``, when below n, is a zero.  Otherwise
-    ``reveal_end[i] == fitness_true[i]``.
+    Returns ``(fitness_true, fitness_noisy, reveal_end)``, ranked by noisy
+    score, non-increasing, ties in sampling order, so the parents are the
+    first mu entries.  Individual i has ``fitness_true[i]`` leading ones
+    followed by a zero (unless it is the optimum).  Its later bits were
+    never drawn, except when noise flipped that first zero: then the ones
+    run after it was revealed, so positions ``fitness_true[i] + 1 ..
+    reveal_end[i] - 1`` are ones and position ``reveal_end[i]``, when below
+    n, is a zero.  Otherwise ``reveal_end[i] == fitness_true[i]``.
 
     P(LO > k) = p_0 * ... * p_k, so an individual's leading-ones value is
     the number of these prefix products above one uniform.  Without noise
-    the ``size`` uniforms are sorted first, so the values come out ranked,
-    non-increasing.  Individuals are exchangeable and tied ones are
-    identical, so the ranking changes neither the law nor anything
-    selection, the update or the statistics read, and the stream still
-    holds exactly ``size`` uniforms.  Noise keeps sampling order, because
-    coin i belongs to individual i, and uses the bit engine's coin and flip
-    index draws.  A flip below LO scores the flip index, a flip above LO
+    the ``size`` uniforms are sorted first, so the values come out ranked;
+    individuals are exchangeable and tied ones are identical, so this
+    changes neither the law nor anything selection, the update or the
+    statistics read, and the stream still holds exactly ``size`` uniforms.
+    With noise, coin i belongs to individual i: one draw of ``2 * size``
+    uniforms (the same stream as two draws of ``size``) gives the keys in
+    sampling order, then the coins, and the flip index draws are the bit
+    engine's.  A flip below LO scores the flip index, a flip above LO
     scores LO, and a flip of the first zero scores LO + 1 + the ones run
     after it, drawn by the same inverse CDF given the prefix through LO.
+    The scored population is then ranked by one stable argsort of the
+    negated noisy scores.  Either way the ranked scores are checked.
     """
     n = marginals.shape[0]
     survival = np.multiply.accumulate(marginals)  # survival[k] = P(LO > k)
     descending = -survival
-    keys = rng.random(size)
     if not noise.active:
+        keys = rng.random(size)
         keys.sort()  # ascending keys give non-increasing LO values
-    lo = np.searchsorted(descending, -keys)
+        lo = descending.searchsorted(-keys)
+        _check_ranked(lo)
+        return lo, lo, lo
+    keys, coins = rng.random(2 * size).reshape(2, size)
+    lo = descending.searchsorted(-keys)
     noisy, reveal_end = lo, lo
-    if noise.active:
-        coins = rng.random(size)
-        rows = np.nonzero(coins < noise.p)[0]
-        if rows.size:
-            flips = rng.integers(0, n, size=rows.size)
-            row_lo = lo[rows]
-            noisy = lo.copy()
-            noisy[rows] = np.minimum(flips, row_lo)
-            hit = rows[flips == row_lo]
-            if hit.size:
-                # P(run after position LO >= r) = survival[LO + r] / survival[LO]
-                ends = np.searchsorted(descending, -rng.random(hit.size) * survival[lo[hit]])
-                reveal_end = lo.copy()
-                reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
-                noisy[hit] = reveal_end[hit]
-    return lo, noisy, reveal_end
+    rows = (coins < noise.p).nonzero()[0]
+    if rows.size:
+        flips = rng.integers(0, n, size=rows.size)
+        row_lo = lo[rows]
+        noisy = lo.copy()
+        noisy[rows] = np.minimum(flips, row_lo)
+        hit = rows[flips == row_lo]
+        if hit.size:
+            # P(run after position LO >= r) = survival[LO + r] / survival[LO]
+            ends = descending.searchsorted(-rng.random(hit.size) * survival[lo[hit]])
+            reveal_end = lo.copy()
+            reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
+            noisy[hit] = reveal_end[hit]
+    order = (-noisy).argsort(kind="stable")
+    ranked = noisy[order]
+    _check_ranked(ranked)
+    ranked_lo = ranked if noisy is lo else lo[order]
+    return ranked_lo, ranked, ranked_lo if reveal_end is lo else reveal_end[order]
 
 
 def update_levels(
@@ -231,14 +238,17 @@ def update_levels(
 ) -> np.ndarray:
     """Parents' ones counts from what was seen, plus binomials for what was not.
 
-    At position j: every parent with more than j leading ones has a one, a
-    parent with exactly j has a zero, and a parent with fewer has a
-    revealed bit or an unseen Bernoulli(p_j) one.  ``reveal_end is
-    fitness_true``, as ``sample_levels`` returns it when no flip hit a first
-    zero, means nothing was revealed.
+    ``parents`` indexes the parents' entries of the score arrays: ``step``
+    passes ``slice(0, mu)``, the head of a ranked population, so the
+    parents' arrays are views.  At position j: every parent with more than
+    j leading ones has a one, a parent with exactly j has a zero, and a
+    parent with fewer has a revealed bit or an unseen Bernoulli(p_j) one.
+    ``reveal_end is fitness_true``, as ``sample_levels`` returns it when no
+    flip hit a first zero, means nothing was revealed.
     """
-    n, mu = marginals.shape[0], parents.shape[0]
+    n = marginals.shape[0]
     lo = fitness_true[parents]
+    mu = lo.shape[0]
     per_level = np.bincount(lo, minlength=n + 1)
     at_most = np.add.accumulate(per_level)  # at_most[j] = #(LO <= j)
     ones = mu - at_most[:n]
@@ -261,8 +271,10 @@ def run(config: UmdaConfig) -> RunResult:
 
     The optimum check uses true fitness on every sampled population before
     selection, so noise cannot hide a sampled optimum.  Budget exhaustion is
-    a normal result with ``success`` False.  The next model is the parents'
-    ones counts over mu, clamped to the borders.  Level statistics, and with
+    a normal result with ``success`` False.  The next model is the table
+    entry of each of the parents' ones counts, k/mu clamped to the borders;
+    a count outside [0, mu] raises, so no model needs ``step``'s border
+    check.  Level statistics, and with
     them the counting-identity check, are computed only for the iterations
     the trace keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th
     after it, and the final one.  Their score arrays are kept and passed to
@@ -271,6 +283,7 @@ def run(config: UmdaConfig) -> RunResult:
     """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
+    levels = clamp_vector(np.arange(config.mu + 1) / config.mu, config.n)  # levels[k] = clamp(k / mu)
     tail_start = config.track_marginals_from
     block_rows = max(1, _STATS_BLOCK_VALUES // (config.lam + config.n + 1))
     recorded: list[tuple[int, int]] = []  # (t, best_true) of every recorded iteration
@@ -279,7 +292,7 @@ def run(config: UmdaConfig) -> RunResult:
     tails: list[np.ndarray] = []
     iterations = 0
     while True:
-        fitness_true, fitness_noisy, ones = step(model, config, rng)
+        fitness_true, fitness_noisy, ones = _step(model, config, rng)
         t = iterations
         iterations += 1
         evals = config.lam * iterations
@@ -296,7 +309,9 @@ def run(config: UmdaConfig) -> RunResult:
                 tails.append(model[tail_start:].copy())
         if final:
             break
-        model = clamp_vector(ones / config.mu, config.n)
+        if ones.view(np.uint64).max() > config.mu:  # a negative count wraps to a huge unsigned one
+            raise ValueError(f"parents' ones counts outside [0, {config.mu}]")
+        model = levels[ones]
     trace = None
     if config.record_trace:
         if scores:
@@ -335,11 +350,16 @@ def step(
     the borders) and never modified.
     """
     check_marginals(marginals, config.n)
+    return _step(marginals, config, rng)
+
+
+def _step(
+    marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``step`` without its border check, for the models ``run`` looks up in its clamped table."""
     if config.engine == "bits":
         pop = evaluate_population(sample_population(marginals, config.lam, rng), config.noise, rng)
-        fitness_true, fitness_noisy = pop.fitness_true, pop.fitness_noisy
-        count = lambda parents: update_model(pop.members, parents)
-    else:
-        fitness_true, fitness_noisy, reveal_end = sample_levels(marginals, config.lam, config.noise, rng)
-        count = lambda parents: update_levels(fitness_true, reveal_end, parents, marginals, rng)
-    return fitness_true, fitness_noisy, count(select_parents(sort_by_fitness(fitness_noisy), config.mu))
+        parents = select_parents(sort_by_fitness(pop.fitness_noisy), config.mu)
+        return pop.fitness_true, pop.fitness_noisy, update_model(pop.members, parents)
+    fitness_true, fitness_noisy, reveal_end = sample_levels(marginals, config.lam, config.noise, rng)
+    return fitness_true, fitness_noisy, update_levels(fitness_true, reveal_end, slice(0, config.mu), marginals, rng)

@@ -69,24 +69,12 @@ def check_marginals(marginals: np.ndarray, n: int) -> None:
         raise ValueError(f"marginals outside borders [{lo}, {hi}]")
 
 
-def clamp_to_margins(value: float, n: int) -> float:
-    """Clamp a probability into the borders [1/n, 1 - 1/n]."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"value {value} outside [0, 1]")
-    return max(1.0 / n, min(1.0 - 1.0 / n, value))
-
-
 def clamp_vector(values: np.ndarray, n: int) -> np.ndarray:
     """Vectorized border clamp for a full marginal vector."""
     values = np.asarray(values, dtype=np.float64)
     if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError("values outside [0, 1]")
     return np.minimum(np.maximum(values, 1.0 / n), 1.0 - 1.0 / n)
-
-
-def sample_individual(marginals: np.ndarray, rng: np.random.Generator) -> Bitstring:
-    """Draw one bitstring; bit i is 1 with probability marginals[i]."""
-    return (rng.random(marginals.shape[0]) < marginals).astype(np.uint8)
 
 
 def sample_population(marginals: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,23 +37,6 @@ def leading_ones(x: Bitstring) -> int:
     return int(kernels.leading_ones_rows(bits.reshape(1, -1))[0])
 
 
-def noisy_leading_ones(x: Bitstring, noise: NoiseConfig, rng: np.random.Generator) -> int:
-    """Score ``x`` after one-bit prior noise.
-
-    With probability 1-p this is plain ``leading_ones(x)``.  Otherwise a
-    uniformly chosen bit is flipped in a copy before scoring; ``x`` itself is
-    never mutated.  When ``p`` is 0 the stream is not consumed at all.
-    """
-    if not noise.active:
-        return leading_ones(x)
-    if rng.random() >= noise.p:
-        return leading_ones(x)
-    bits = np.asarray(x, dtype=np.uint8).copy()
-    flip = int(rng.integers(bits.shape[0]))
-    bits[flip] ^= 1
-    return leading_ones(bits)
-
-
 def noisy_leading_ones_batch(
     bits: np.ndarray,
     fitness_true: np.ndarray,

@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from umda_lab.cli import main as cli_main
+from umda_lab.engine import UmdaConfig, run
 from umda_lab.experiments import (
     ExperimentConfig,
     MuRule,
@@ -122,6 +124,61 @@ def test_criterion_05_tail_marginals_stay_neutral(low_pressure_result):
     )
     ok = 0.45 <= report.mean <= 0.55
     _verdict(5, "tail-marginal-neutrality", ok, f"mean {report.mean:.4f}")
+
+
+def _wright_fisher_law(mu: int, n: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Law of a never-read marginal after t >= 1 updates: its distinct values and their probabilities.
+
+    The parents' ones count of a never-read position is Binomial(mu, p) with
+    p its current marginal, and the next marginal is that count over mu,
+    clamped to the borders: a (mu + 1)-state clamped Wright-Fisher chain
+    started from the first update's Binomial(mu, 1/2).
+    """
+    from scipy.stats import binom
+
+    states = np.arange(mu + 1)
+    values = np.clip(states / mu, 1.0 / n, 1.0 - 1.0 / n)
+    transition = binom.pmf(states[None, :], mu, values[:, None])  # [k, k'] = P(k -> k')
+    law = binom.pmf(states, mu, 0.5)
+    for _ in range(t - 1):
+        law = law @ transition
+    distinct, state_value = np.unique(values, return_inverse=True)  # the borders merge states
+    return distinct, np.bincount(state_value, weights=law)
+
+
+@pytest.mark.parametrize("engine, t, runs", [
+    ("levels", 50, 200),
+    pytest.param("levels", 200, 200, marks=pytest.mark.slow),
+    ("bits", 50, 60),
+])
+def test_never_read_marginals_follow_the_wright_fisher_law(engine, t, runs):
+    # Without noise bit j is read only by an individual with at least j
+    # leading ones, so every position above the largest best_true of
+    # iterations 0..t-1 was never read and its marginal at iteration t
+    # follows the neutral chain.  Criterion 5's band cannot see a biased
+    # update that keeps the mean near 1/2; this chi-square test can.
+    n, lam, mu, level = 100, 200, 100, 1e-3
+    observed = []
+    for replication in range(runs):
+        config = UmdaConfig(n=n, lam=lam, mu=mu, max_evals=lam * (t + 1), seed=MASTER_SEED + replication,
+                            track_marginals_from=0, engine=engine)
+        trace = run(config).trace
+        assert trace.t[t] == t
+        observed.append(trace.marginals_tail[t, int(trace.best_true[:t].max()) + 1:])
+    values, law = _wright_fisher_law(mu, n, t)
+    flat = np.concatenate(observed)
+    assert np.isin(flat, values).all()  # every marginal is a state of the chain, bit for bit
+    counts = np.bincount(np.searchsorted(values, flat), minlength=values.size)
+    expected = law * flat.size
+    rare = expected < 5  # pooled into one bin
+    f_obs, f_exp = counts[~rare], expected[~rare]
+    if rare.any():
+        f_obs, f_exp = np.append(f_obs, counts[rare].sum()), np.append(f_exp, expected[rare].sum())
+    statistic = float(((f_obs - f_exp) ** 2 / f_exp).sum())
+    p_value = float(chi2.sf(statistic, f_obs.size - 1))
+    print(f"never-read marginals {engine} T={t}: {flat.size} values, chi2 {statistic:.1f} "
+          f"on {f_obs.size - 1} df, p {p_value:.3f}")
+    assert p_value >= level
 
 
 def test_criterion_06_high_pressure_reaches_optimum(high_pressure_result):

@@ -307,7 +307,7 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
 
 
 @pytest.mark.parametrize("engine_name", ENGINES)
-def test_both_engines_select_through_one_path(engine_name, monkeypatch):
+def test_only_bits_selects_through_sort_by_fitness(engine_name, monkeypatch):
     calls = {"sort": 0, "select": 0}
     sort, select = engine.sort_by_fitness, engine.select_parents
 
@@ -324,7 +324,47 @@ def test_both_engines_select_through_one_path(engine_name, monkeypatch):
     config = UmdaConfig(**_TRUNCATED, noise=NoiseConfig(0.4), seed=31, engine=engine_name)
     result = run(replace(config, record_trace=False))
     assert result.iterations == 50
-    assert calls == {"sort": 50, "select": 50}  # every iteration selects, the final one too
+    # ``bits`` selects on every iteration, the final one too; ``levels`` populations come out ranked
+    expected = 50 if engine_name == "bits" else 0
+    assert calls == {"sort": expected, "select": expected}
+
+
+def _run_with_counts(config, counts, monkeypatch):
+    """Run ``config`` with its iteration body replaced: iteration i returns ``counts[i]`` as the ones counts.
+
+    Returns the models ``run`` iterated from: models[i + 1] is made from counts[i].
+    """
+    models = []
+
+    def fake_step(marginals, config, rng):
+        models.append(marginals.copy())
+        return np.zeros(config.lam, dtype=np.int64), np.zeros(config.lam, dtype=np.int64), counts[len(models) - 1]
+
+    monkeypatch.setattr(engine, "_step", fake_step)
+    run(replace(config, max_evals=config.lam * len(counts), record_trace=False))
+    return models
+
+
+@pytest.mark.parametrize("n, mu", [(10, 4), (100, 100), (4, 10), (2, 3), (7, 1), (500, 32)])
+def test_next_model_is_the_divide_and_clamp_of_every_count(n, mu, monkeypatch):
+    # every count k in [0, mu] reaches every position over the iterations;
+    # mu >= n makes both borders bind, mu = 1 leaves only the two borders
+    iterations = mu + 2
+    counts = [(np.arange(n) + i) % (mu + 1) for i in range(iterations)]
+    models = _run_with_counts(UmdaConfig(n=n, lam=mu + 1, mu=mu), counts, monkeypatch)
+    assert len(models) == iterations
+    for ones, model in zip(counts, models[1:]):
+        for k, value in zip(ones, model):
+            assert value.tobytes() == clamp_vector(np.array([k]) / mu, n).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_ones_count_outside_zero_to_mu_raises(bad, monkeypatch):
+    config = UmdaConfig(n=6, lam=8, mu=4)
+    ones = np.array([0, 1, 2, 3, 4, 2])
+    ones[3] = bad
+    with pytest.raises(ValueError, match="outside"):
+        _run_with_counts(config, [ones, ones], monkeypatch)
 
 
 @contextmanager
@@ -420,13 +460,42 @@ def test_noise_free_sample_levels_is_the_ranked_inverse_cdf(case):
         assert np.multiply.accumulate(marginals)[-1] == 0.0
 
 
-def test_noisy_sample_levels_keeps_sampling_order():
-    # coin i belongs to individual i, so the values are not ranked under noise
-    marginals, lam = _SAMPLER_CASES["mixed"]
-    rng = np.random.default_rng(43)
+def _noisy_levels_reference(marginals, lam, p, rng):
+    """Loop reference for noisy ``sample_levels``, in sampling order: (true, noisy, reveal end) lists.
+
+    Draws lam keys, lam coins, one flip index per noisy individual and one
+    uniform per individual whose flip hit its first zero.
+    """
+    n = marginals.shape[0]
+    survival = np.multiply.accumulate(marginals)
+    lo = _inverse_cdf_levels(marginals, rng.random(lam)).tolist()
+    rows = [i for i, coin in enumerate(rng.random(lam)) if coin < p]
+    noisy, end = list(lo), list(lo)
+    flips = rng.integers(0, n, size=len(rows)).tolist() if rows else []
+    hits = [i for i, flip in zip(rows, flips) if flip == lo[i]]
+    for i, flip in zip(rows, flips):
+        noisy[i] = min(flip, lo[i])
+    for i, u in zip(hits, rng.random(len(hits)) if hits else []):
+        end[i] = noisy[i] = max(int(sum(s > u * survival[lo[i]] for s in survival)), lo[i] + 1)
+    return lo, noisy, end
+
+
+@pytest.mark.parametrize("lam, noise_p, seed", [(320, 0.5, 43), (13, 0.1, 44), (67, 0.9, 45)])
+def test_noisy_sample_levels_is_the_stable_ranking_of_sampling_order(lam, noise_p, seed):
+    marginals = _SAMPLER_CASES["mixed"][0]
+    rng = np.random.default_rng(seed)
     clone = copy.deepcopy(rng)
-    fitness_true, _, _ = engine.sample_levels(marginals, lam, NoiseConfig(0.5), rng)
-    np.testing.assert_array_equal(fitness_true, _inverse_cdf_levels(marginals, clone.random(lam)))
+    fitness_true, fitness_noisy, reveal_end = engine.sample_levels(marginals, lam, NoiseConfig(noise_p), rng)
+    lo, noisy, end = _noisy_levels_reference(marginals, lam, noise_p, clone)
+    order = sorted(range(lam), key=lambda i: -noisy[i])  # Python's sort is stable
+    np.testing.assert_array_equal(fitness_noisy, np.array(noisy)[order])
+    np.testing.assert_array_equal(fitness_true, np.array(lo)[order])
+    np.testing.assert_array_equal(reveal_end, np.array(end)[order])
+    # exactly the reference's draws
+    assert rng.bit_generator.state == clone.bit_generator.state
+    if lam == 320:
+        # ties that hide different true scores, and revealed runs: only the stable order passes
+        assert (fitness_true != fitness_noisy).any() and (reveal_end != fitness_true).any()
 
 
 class _RecordingRng:

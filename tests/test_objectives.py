@@ -11,12 +11,20 @@ from umda_lab import (
     expected_noisy_fitness,
     kernels,
     leading_ones,
-    noisy_leading_ones,
 )
 from umda_lab.model import Population, init_model, sample_population
 from umda_lab.objectives import noisy_leading_ones_batch
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40)
+
+
+def noisy_leading_ones(x, noise, rng):
+    """Scalar reference for ``noisy_leading_ones_batch``: one coin, then (if noisy) one flip index."""
+    if rng.random() >= noise.p:
+        return leading_ones(x)
+    flipped = x.copy()
+    flipped[rng.integers(x.shape[0])] ^= 1
+    return leading_ones(flipped)
 
 
 @pytest.mark.parametrize(
@@ -60,20 +68,25 @@ def test_noise_config_validation():
     assert not NoiseConfig(0.0).active
 
 
-def test_zero_noise_is_plain_fitness_and_draws_nothing():
-    rng = np.random.default_rng(21)
-    state_before = rng.bit_generator.state
-    x = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert noisy_leading_ones(x, NoiseConfig(0.0), rng) == leading_ones(x)
-    assert rng.bit_generator.state == state_before
-
-
 def test_noisy_fitness_never_mutates_input():
     rng = np.random.default_rng(22)
-    x = np.ones(6, dtype=np.uint8)
+    x = np.ones((1, 6), dtype=np.uint8)
     for _ in range(200):
-        noisy_leading_ones(x, NoiseConfig(0.9), rng)
-    assert x.tolist() == [1] * 6
+        noisy_leading_ones_batch(x, np.array([6]), NoiseConfig(0.9), rng)
+    assert x.tolist() == [[1] * 6]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_batch_is_the_scalar_score_row_by_row(p):
+    # a one-row batch draws what the scalar reference draws, so the scalar
+    # laws checked below are the batch's laws
+    shapes = np.random.default_rng(20)
+    for seed in range(200):
+        x = (shapes.random(int(shapes.integers(1, 12))) < 0.7).astype(np.uint8)
+        batch_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = noisy_leading_ones_batch(x[None], np.array([leading_ones(x)]), NoiseConfig(p), batch_rng)
+        assert batch.tolist() == [noisy_leading_ones(x, NoiseConfig(p), scalar_rng)]
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 def test_expected_noisy_fitness_all_ones_small():
