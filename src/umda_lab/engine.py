@@ -6,15 +6,16 @@ the borders, samples and scores ``lambda`` individuals with
 ``config.engine`` (the only engine dispatch), takes the mu best by noisy
 score, ties in sampling order, and counts the parents' ones per position.
 ``bits`` ranks its population with ``sort_by_fitness`` and
-``select_parents``; ``levels`` populations come out of the sampler ranked,
-so their parents are the first mu entries.  ``run`` loops over ``step``
+``select_parents``; ``levels`` parents are the first mu of a ranked
+population.  ``run`` loops over ``step``
 (budget, success check, trace recording and marginal snapshots) and looks
 the next model up in a table built once per run: entry k is k/mu clamped
 to the borders, the same division and clamp for every count.  Every count
 is checked to lie in [0, mu], so every model ``run`` makes is inside the
-borders and it skips ``step``'s border check.  It keeps the score arrays
-of the iterations the trace records and computes their level statistics
-a bounded block of rows at a time.  ``oracle transition`` samples steps.
+borders and it skips ``step``'s border check.  It reads each population's
+best true score, and builds the score arrays only for the iterations the
+trace records, computing their level statistics a bounded block of rows
+at a time.  ``oracle transition`` samples steps.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -30,16 +31,17 @@ prefix products of the marginals; a noise flip of the first zero reveals
 the ones run after it, sampled the same way.  After selection the parents'
 ones count at position j is the number with more than j leading ones, plus
 the revealed ones at j, plus a binomial over the parents whose bit j was
-never looked at.  This gives the same law of the model sequence, at
-O(n + lambda log n) per iteration instead of O(lambda n);
-``oracle.exact_transition`` checks one full step of both engines.  Stream
-order per iteration: lambda uniforms for the leading-ones values, then
-(noise only) lambda coins, one flip index per noisy individual and one
-uniform per individual whose flip hit its first zero, then one binomial
-per position.  The population comes out ranked by noisy score: without
-noise the lambda uniforms are sorted before they are turned into values;
-with noise, where coin i belongs to individual i, the scored population
-is stable-argsorted once.  Neither ranking draws anything.
+never looked at, drawn after the lowest parent's leading ones.  This gives
+the same law of the model sequence, at O(n + lambda log n) per iteration
+instead of O(lambda n); ``oracle.exact_transition`` checks one full step
+of both engines.  Stream order per iteration: lambda uniforms for the
+leading-ones values, then (noise only) lambda coins, one flip index per
+noisy individual and one uniform per individual whose flip hit its first
+zero, then one binomial per position.  Without noise the lambda uniforms
+are sorted, the parents are the mu smallest and the scores are built only
+where a trace reads them; with noise, where coin i belongs to individual
+i, the scored population is stable-argsorted once.  Neither ranking draws
+anything.
 
 Each run owns one random stream, so every run is bit-reproducible from its
 seed and engine.
@@ -48,7 +50,7 @@ seed and engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -174,7 +176,7 @@ def update_model(members: np.ndarray, parents: np.ndarray) -> np.ndarray:
 def sample_levels(
     marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``size`` leading-ones values and score them, one evaluation each, ranked.
+    """Draw ``size`` leading-ones values and score them under noise, one evaluation each, ranked.
 
     Returns ``(fitness_true, fitness_noisy, reveal_end)``, ranked by noisy
     score, non-increasing, ties in sampling order, so the parents are the
@@ -186,29 +188,20 @@ def sample_levels(
     n, is a zero.  Otherwise ``reveal_end[i] == fitness_true[i]``.
 
     P(LO > k) = p_0 * ... * p_k, so an individual's leading-ones value is
-    the number of these prefix products above one uniform.  Without noise
-    the ``size`` uniforms are sorted first, so the values come out ranked;
-    individuals are exchangeable and tied ones are identical, so this
-    changes neither the law nor anything selection, the update or the
-    statistics read, and the stream still holds exactly ``size`` uniforms.
-    With noise, coin i belongs to individual i: one draw of ``2 * size``
-    uniforms (the same stream as two draws of ``size``) gives the keys in
-    sampling order, then the coins, and the flip index draws are the bit
-    engine's.  A flip below LO scores the flip index, a flip above LO
-    scores LO, and a flip of the first zero scores LO + 1 + the ones run
-    after it, drawn by the same inverse CDF given the prefix through LO.
-    The scored population is then ranked by one stable argsort of the
-    negated noisy scores.  Either way the ranked scores are checked.
+    the number of these prefix products above one uniform.  Coin i belongs
+    to individual i: one draw of ``2 * size`` uniforms (the same stream as
+    two draws of ``size``) gives the keys in sampling order, then the
+    coins, and the flip index draws are the bit engine's.  A flip below LO
+    scores the flip index, a flip above LO scores LO, and a flip of the
+    first zero scores LO + 1 + the ones run after it, drawn by the same
+    inverse CDF given the prefix through LO.  The scored population is then
+    ranked by one stable argsort of the negated noisy scores, and the
+    ranked scores are checked.  Noise-free populations are drawn by
+    ``_step``, from sorted keys.
     """
     n = marginals.shape[0]
     survival = np.multiply.accumulate(marginals)  # survival[k] = P(LO > k)
     descending = -survival
-    if not noise.active:
-        keys = rng.random(size)
-        keys.sort()  # ascending keys give non-increasing LO values
-        lo = descending.searchsorted(-keys)
-        _check_ranked(lo)
-        return lo, lo, lo
     keys, coins = rng.random(2 * size).reshape(2, size)
     lo = descending.searchsorted(-keys)
     noisy, reveal_end = lo, lo
@@ -232,6 +225,13 @@ def sample_levels(
     return ranked_lo, ranked, ranked_lo if reveal_end is lo else reveal_end[order]
 
 
+def _ranked_levels(survival: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(fitness_true, fitness_noisy)`` of a noise-free population drawn as ascending keys, checked."""
+    lo = (-survival).searchsorted(-keys)
+    _check_ranked(lo)
+    return lo, lo
+
+
 def update_levels(
     fitness_true: np.ndarray, reveal_end: np.ndarray, parents: np.ndarray, marginals: np.ndarray,
     rng: np.random.Generator,
@@ -243,16 +243,18 @@ def update_levels(
     parents' arrays are views.  At position j: every parent with more than
     j leading ones has a one, a parent with exactly j has a zero, and a
     parent with fewer has a revealed bit or an unseen Bernoulli(p_j) one.
-    ``reveal_end is fitness_true``, as ``sample_levels`` returns it when no
-    flip hit a first zero, means nothing was revealed.
+    #(LO < j) is zero through the lowest parent LO, so one binomial covers
+    the positions after it.  ``reveal_end is fitness_true``, as
+    ``sample_levels`` returns it when no flip hit a first zero, means
+    nothing was revealed.
     """
     n = marginals.shape[0]
     lo = fitness_true[parents]
     mu = lo.shape[0]
-    per_level = np.bincount(lo, minlength=n + 1)
-    at_most = np.add.accumulate(per_level)  # at_most[j] = #(LO <= j)
-    ones = mu - at_most[:n]
-    unseen = at_most[:n] - per_level[:n]  # #(LO < j), less the revealed bits below
+    at_most = np.add.accumulate(np.bincount(lo, minlength=n + 1))  # at_most[j] = #(LO <= j)
+    ones = mu - at_most[:n]  # ones[j] = #(LO > j)
+    unseen = at_most[:n - 1]  # #(LO < j) at j = 1..n-1, less the revealed bits below
+    first = unseen.size - np.count_nonzero(unseen)  # every parent's leading ones cover positions 1..first
     if reveal_end is not fitness_true:
         end = reveal_end[parents]
         shown = end > lo
@@ -260,9 +262,8 @@ def update_levels(
             start, stop = lo[shown] + 1, end[shown]
             ones_seen = np.add.accumulate(np.bincount(start, minlength=n + 1) - np.bincount(stop, minlength=n + 1))[:n]
             ones += ones_seen
-            unseen -= ones_seen + np.bincount(stop[stop < n], minlength=n)
-    first = lo.min() + 1  # no parent has an unseen bit at or before its lowest LO
-    ones[first:] += rng.binomial(unseen[first:], marginals[first:])
+            unseen -= ones_seen[1:] + np.bincount(stop[stop < n], minlength=n)[1:]
+    ones[first + 1:] += rng.binomial(unseen[first:], marginals[first + 1:])
     return ones
 
 
@@ -274,10 +275,10 @@ def run(config: UmdaConfig) -> RunResult:
     a normal result with ``success`` False.  The next model is the table
     entry of each of the parents' ones counts, k/mu clamped to the borders;
     a count outside [0, mu] raises, so no model needs ``step``'s border
-    check.  Level statistics, and with
-    them the counting-identity check, are computed only for the iterations
-    the trace keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th
-    after it, and the final one.  Their score arrays are kept and passed to
+    check.  Score arrays, level statistics and with them the
+    counting-identity check are built only for the iterations the trace
+    keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th after
+    it, and the final one.  Their score arrays are kept and passed to
     ``iteration_stats`` a block of rows at a time, the last block before the
     ``Trace`` is built.
     """
@@ -292,16 +293,15 @@ def run(config: UmdaConfig) -> RunResult:
     tails: list[np.ndarray] = []
     iterations = 0
     while True:
-        fitness_true, fitness_noisy, ones = _step(model, config, rng)
+        best_true, population, ones = _step(model, config, rng)
         t = iterations
         iterations += 1
         evals = config.lam * iterations
-        best_true = int(fitness_true.max())
         success = best_true == config.n
         final = success or evals >= config.max_evals
         if config.record_trace and (final or t < DENSE_UNTIL or t % THIN_EVERY == 0):
             recorded.append((t, best_true))
-            scores.append((fitness_true, fitness_noisy))
+            scores.append(population())
             if len(scores) == block_rows:
                 stats.append(_block_stats(scores, config))
                 scores = []
@@ -350,16 +350,37 @@ def step(
     the borders) and never modified.
     """
     check_marginals(marginals, config.n)
-    return _step(marginals, config, rng)
+    _, population, ones = _step(marginals, config, rng)
+    return *population(), ones
 
 
 def _step(
     marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``step`` without its border check, for the models ``run`` looks up in its clamped table."""
+) -> tuple[int, Callable[[], tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``step`` without its border check, for the models ``run`` looks up in its clamped table.
+
+    Returns ``(best_true, population, ones)``; ``population()`` gives
+    ``(fitness_true, fitness_noisy)`` and draws nothing.  Noise-free
+    ``levels`` parents are the mu smallest of the sorted keys, and the
+    smallest key is a parent, so the best LO is the number of positions
+    where some parent has a one.
+    """
     if config.engine == "bits":
         pop = evaluate_population(sample_population(marginals, config.lam, rng), config.noise, rng)
         parents = select_parents(sort_by_fitness(pop.fitness_noisy), config.mu)
-        return pop.fitness_true, pop.fitness_noisy, update_model(pop.members, parents)
-    fitness_true, fitness_noisy, reveal_end = sample_levels(marginals, config.lam, config.noise, rng)
-    return fitness_true, fitness_noisy, update_levels(fitness_true, reveal_end, slice(0, config.mu), marginals, rng)
+        ones = update_model(pop.members, parents)
+        return int(pop.fitness_true.max()), lambda: (pop.fitness_true, pop.fitness_noisy), ones
+    if config.noise.active:
+        fitness_true, fitness_noisy, reveal_end = sample_levels(marginals, config.lam, config.noise, rng)
+        ones = update_levels(fitness_true, reveal_end, slice(0, config.mu), marginals, rng)
+        return int(fitness_true.max()), lambda: (fitness_true, fitness_noisy), ones
+    survival = np.multiply.accumulate(marginals)  # survival[j] = P(LO > j)
+    keys = rng.random(config.lam)
+    keys.sort()
+    ones = keys[:config.mu].searchsorted(survival)  # ones[j] = #(parents with LO > j)
+    _check_ranked(ones)  # the sort order, stated on counts
+    best_true = int(np.count_nonzero(ones))
+    unseen = config.mu - ones[:-1]  # #(parents with LO < j) at j = 1..n-1, non-decreasing
+    first = unseen.size - np.count_nonzero(unseen)  # every parent's leading ones cover positions 1..first
+    ones[first + 1:] += rng.binomial(unseen[first:], marginals[first + 1:])
+    return best_true, lambda: _ranked_levels(survival, keys), ones

@@ -54,10 +54,10 @@ def test_sort_all_equal_keeps_sampling_order():
     np.random.default_rng(4).integers(0, 101, size=200),
     np.full(67, 12),
     np.array([5]),
-    np.array([40_000, 3, 32_768, 40_000, 70_000, 0, 32_767, 3]),  # beyond int16: the int64 key
+    np.array([40_000, 3, 32_768, 40_000, 70_000, 0, 32_767, 3]),  # scores wider than 16 bits, tied in pairs
     np.array([-40_000, 2, -32_768, 2, 0]),
-    np.array([9, 9, 7, 7, 7, 3, 0, 0]),  # already ranked: the identity order
-], ids=["random", "tied", "one", "above_int16", "below_int16", "ranked_ties"])
+    np.array([9, 9, 7, 7, 7, 3, 0, 0]),  # already non-increasing with ties: the order is the identity
+], ids=["random", "tied", "one", "wide_tied_pairs", "below_int16", "presorted_ties"])
 def test_sort_by_fitness_is_the_stable_int64_argsort(scores):
     order = sort_by_fitness(scores)
     reference = np.argsort(-scores, kind="stable")
@@ -306,6 +306,25 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     assert traced.trace.t.tolist()[-1] == 49
 
 
+def test_noise_free_levels_build_scores_only_for_trace_rows(monkeypatch):
+    built = []
+    original = engine._ranked_levels
+
+    def counting(survival, keys):
+        built.append(original(survival, keys)[0])
+        return built[-1], built[-1]
+
+    monkeypatch.setattr(engine, "_ranked_levels", counting)
+    _thin(monkeypatch)
+    config = UmdaConfig(**_TRUNCATED, seed=31)
+    untraced = run(replace(config, record_trace=False))
+    assert built == []
+    traced = run(config)
+    # one population per recorded row, the final row included, in trace order
+    assert traced.trace.t.tolist()[-1] == untraced.iterations - 1 == 49
+    assert [fitness.max() for fitness in built] == traced.trace.best_true.tolist()
+
+
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_only_bits_selects_through_sort_by_fitness(engine_name, monkeypatch):
     calls = {"sort": 0, "select": 0}
@@ -338,7 +357,8 @@ def _run_with_counts(config, counts, monkeypatch):
 
     def fake_step(marginals, config, rng):
         models.append(marginals.copy())
-        return np.zeros(config.lam, dtype=np.int64), np.zeros(config.lam, dtype=np.int64), counts[len(models) - 1]
+        scores = np.zeros(config.lam, dtype=np.int64)
+        return 0, lambda: (scores, scores), counts[len(models) - 1]
 
     monkeypatch.setattr(engine, "_step", fake_step)
     run(replace(config, max_evals=config.lam * len(counts), record_trace=False))
@@ -444,20 +464,104 @@ _SAMPLER_CASES = {
 
 @pytest.mark.parametrize("case", _SAMPLER_CASES, ids=list(_SAMPLER_CASES))
 def test_noise_free_sample_levels_is_the_ranked_inverse_cdf(case):
+    # the population a noise-free level step materializes from its sorted keys
     marginals, lam = _SAMPLER_CASES[case]
+    n, lam = marginals.shape[0], max(lam, 2)  # a config needs mu < lambda
     rng = np.random.default_rng(41)
     clone = copy.deepcopy(rng)
-    fitness_true, fitness_noisy, reveal_end = engine.sample_levels(marginals, lam, NoiseConfig(0.0), rng)
+    _, population, ones = engine._step(marginals, UmdaConfig(n=n, lam=lam, mu=1), rng)
+    fitness_true, fitness_noisy = population()
     reference = _inverse_cdf_levels(marginals, clone.random(lam))
     # one population, nothing revealed: the reference's multiset, ranked non-increasing
-    assert fitness_noisy is fitness_true and reveal_end is fitness_true
+    assert fitness_noisy is fitness_true
     np.testing.assert_array_equal(fitness_true, np.sort(reference)[::-1])
-    # exactly lam doubles drawn
+    # exactly lam doubles, then one binomial over positions 1..n-1 for the one parent's unseen bits
+    unseen = (np.arange(1, n) > reference.max()).astype(np.int64)
+    np.testing.assert_array_equal(ones[1:] - (np.arange(1, n) < reference.max()), clone.binomial(unseen, marginals[1:]))
     assert rng.bit_generator.state == clone.bit_generator.state
     if case == "two":
         assert (fitness_true == 2).any() and (fitness_true == 0).any()
     if case == "underflow":
         assert np.multiply.accumulate(marginals)[-1] == 0.0
+
+
+@pytest.mark.parametrize("mu_at", ["one", "middle", "all_but_one"])
+@pytest.mark.parametrize("case", _SAMPLER_CASES, ids=list(_SAMPLER_CASES))
+def test_noise_free_step_counts_the_mu_smallest_keys(case, mu_at):
+    # the step's counts are ``update_levels`` on its own materialized population, with the same draws
+    marginals, lam = _SAMPLER_CASES[case]
+    lam = max(lam, 2)
+    mu = {"one": 1, "middle": lam // 2, "all_but_one": lam - 1}[mu_at]
+    rng = np.random.default_rng(47)
+    clone = copy.deepcopy(rng)
+    best_true, population, ones = engine._step(marginals, UmdaConfig(n=marginals.shape[0], lam=lam, mu=mu), rng)
+    fitness_true, _ = population()
+    clone.random(lam)
+    np.testing.assert_array_equal(ones, update_levels(fitness_true, fitness_true, slice(0, mu), marginals, clone))
+    assert best_true == fitness_true.max()
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+class _KeysRng:
+    """A generator whose uniforms are the given keys; its binomials are a real generator's."""
+
+    def __init__(self, keys, rng):
+        self.keys, self.rng = keys, rng
+
+    def random(self, size):
+        assert size == self.keys.size
+        return self.keys.copy()
+
+    def binomial(self, trials, p):
+        return self.rng.binomial(trials, p)
+
+
+@pytest.mark.parametrize("mu", [1, 3, 6])
+def test_noise_free_step_keys_equal_to_prefix_products(mu):
+    # keys equal to survival[j] = P(LO > j) have exactly j leading ones; a zero key is the optimum
+    marginals = np.full(4, 0.5)  # survival 1/2, 1/4, 1/8, 1/16, exact in binary
+    keys = np.array([0.25, 0.5, 0.0625, 0.9, 0.125, 0.0, 0.25])
+    reference = np.sort(_inverse_cdf_levels(marginals, keys))[::-1]
+    assert reference.tolist() == [4, 3, 2, 1, 1, 0, 0]
+    best_true, population, ones = engine._step(
+        marginals, UmdaConfig(n=4, lam=keys.size, mu=mu), _KeysRng(keys, np.random.default_rng(mu)))
+    np.testing.assert_array_equal(population()[0], reference)
+    np.testing.assert_array_equal(ones, update_levels(reference, reference, slice(0, mu), marginals,
+                                                      np.random.default_rng(mu)))
+    assert best_true == 4
+
+
+def test_noise_free_step_checks_the_parents_counts():
+    # prefix products that rise (a marginal above 1, which no bordered model has) break the sort
+    # order of the counts; the step raises before any score is built
+    marginals = np.array([0.5, 1.5, 1.5, 1.5])
+    with pytest.raises(ValueError, match="non-increasing"):
+        engine._step(marginals, UmdaConfig(n=4, lam=50, mu=25), np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("noise_p", [0.0, 0.4])
+@pytest.mark.parametrize("engine_name", ENGINES)
+def test_population_draws_nothing(engine_name, noise_p):
+    config = UmdaConfig(n=30, lam=20, mu=4, noise=NoiseConfig(noise_p), engine=engine_name)
+    rng = np.random.default_rng(12)
+    best_true, population, _ = engine._step(np.full(30, 0.9), config, rng)
+    state = rng.bit_generator.state
+    fitness_true, fitness_noisy = population()
+    assert rng.bit_generator.state == state
+    assert best_true == fitness_true.max() and fitness_true.shape == fitness_noisy.shape == (20,)
+
+
+@pytest.mark.parametrize("zeros", [0, 1, 5, 9])
+def test_binomial_over_zero_trials_draws_nothing(zeros):
+    # a zero-count prefix leaves the stream where the trimmed draw leaves it
+    trials = np.concatenate((np.zeros(zeros, dtype=np.int64), np.arange(1, 10 - zeros)))
+    p = np.linspace(0.1, 0.9, trials.size)
+    rng = np.random.default_rng(zeros)
+    clone = copy.deepcopy(rng)
+    full, trimmed = rng.binomial(trials, p), clone.binomial(trials[zeros:], p[zeros:])
+    assert not full[:zeros].any()
+    np.testing.assert_array_equal(full[zeros:], trimmed)
+    assert rng.bit_generator.state == clone.bit_generator.state
 
 
 def _noisy_levels_reference(marginals, lam, p, rng):
