@@ -5,17 +5,18 @@ The model is a plain float64 array of n marginals.  One iteration body,
 the borders, samples and scores ``lambda`` individuals with
 ``config.engine`` (the only engine dispatch), takes the mu best by noisy
 score, ties in sampling order, and counts the parents' ones per position.
-``bits`` ranks its population with ``sort_by_fitness`` and
-``select_parents``; ``levels`` parents are the first mu of a ranked
-population.  ``run`` loops over ``step``
-(budget, success check, trace recording and marginal snapshots) and looks
-the next model up in a table built once per run: entry k is k/mu clamped
-to the borders, the same division and clamp for every count.  Every count
-is checked to lie in [0, mu], so every model ``run`` makes is inside the
-borders and it skips ``step``'s border check.  It reads each population's
-best true score, and builds the score arrays only for the iterations the
-trace records, computing their level statistics a bounded block of rows
-at a time.  ``oracle transition`` samples steps.
+A population in sampling order (``bits``, and ``levels`` with noise) is
+ranked by ``sort_by_fitness`` and cut to mu by ``select_parents``;
+noise-free ``levels`` parents are the mu smallest of its sorted keys.
+``run`` loops over ``step`` (budget, success check, trace recording and
+marginal snapshots) and looks the next model up in a table built once per
+run: entry k is k/mu clamped to the borders, the same division and clamp
+for every count.  Every count is checked to lie in [0, mu], so every
+model ``run`` makes is inside the borders and it skips ``step``'s border
+check.  It reads each population's best true score, and builds the score
+arrays only for the iterations the trace records, computing their level
+statistics a bounded block of rows at a time.  ``oracle transition``
+samples steps.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -40,8 +41,8 @@ noisy individual and one uniform per individual whose flip hit its first
 zero, then one binomial per position.  Without noise the lambda uniforms
 are sorted, the parents are the mu smallest and the scores are built only
 where a trace reads them; with noise, where coin i belongs to individual
-i, the scored population is stable-argsorted once.  Neither ranking draws
-anything.
+i, the scored population stays in sampling order and is selected as a
+``bits`` population is.  Neither ranking draws anything.
 
 Each run owns one random stream, so every run is bit-reproducible from its
 seed and engine.
@@ -148,10 +149,11 @@ def sort_by_fitness(fitness_noisy: np.ndarray) -> np.ndarray:
     """Indices by noisy fitness, non-increasing; ties keep sampling order.
 
     One stable argsort of the negated scores, checked: the ranked scores
-    must come out non-increasing.  Only ``bits`` populations need it;
-    ``sample_levels`` returns its populations already ranked.
+    must come out non-increasing.  ``bits`` and noisy ``levels``
+    populations are selected through it; a noise-free ``levels`` step
+    ranks by sorting its keys.
     """
-    order = np.argsort(-fitness_noisy, kind="stable")
+    order = (-fitness_noisy).argsort(kind="stable")
     _check_ranked(fitness_noisy[order])
     return order
 
@@ -176,16 +178,16 @@ def update_model(members: np.ndarray, parents: np.ndarray) -> np.ndarray:
 def sample_levels(
     marginals: np.ndarray, size: int, noise: NoiseConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``size`` leading-ones values and score them under noise, one evaluation each, ranked.
+    """Draw ``size`` leading-ones values and score them under noise, one evaluation each.
 
-    Returns ``(fitness_true, fitness_noisy, reveal_end)``, ranked by noisy
-    score, non-increasing, ties in sampling order, so the parents are the
-    first mu entries.  Individual i has ``fitness_true[i]`` leading ones
-    followed by a zero (unless it is the optimum).  Its later bits were
-    never drawn, except when noise flipped that first zero: then the ones
-    run after it was revealed, so positions ``fitness_true[i] + 1 ..
-    reveal_end[i] - 1`` are ones and position ``reveal_end[i]``, when below
-    n, is a zero.  Otherwise ``reveal_end[i] == fitness_true[i]``.
+    Returns ``(fitness_true, fitness_noisy, reveal_end)`` in sampling
+    order; ``step`` ranks them with ``sort_by_fitness``.  Individual i has
+    ``fitness_true[i]`` leading ones followed by a zero (unless it is the
+    optimum).  Its later bits were never drawn, except when noise flipped
+    that first zero: then the ones run after it was revealed, so positions
+    ``fitness_true[i] + 1 .. reveal_end[i] - 1`` are ones and position
+    ``reveal_end[i]``, when below n, is a zero.  Otherwise
+    ``reveal_end[i] == fitness_true[i]``.
 
     P(LO > k) = p_0 * ... * p_k, so an individual's leading-ones value is
     the number of these prefix products above one uniform.  Coin i belongs
@@ -194,10 +196,8 @@ def sample_levels(
     coins, and the flip index draws are the bit engine's.  A flip below LO
     scores the flip index, a flip above LO scores LO, and a flip of the
     first zero scores LO + 1 + the ones run after it, drawn by the same
-    inverse CDF given the prefix through LO.  The scored population is then
-    ranked by one stable argsort of the negated noisy scores, and the
-    ranked scores are checked.  Noise-free populations are drawn by
-    ``_step``, from sorted keys.
+    inverse CDF given the prefix through LO.  Noise-free populations are
+    drawn by ``_step``, from sorted keys.
     """
     n = marginals.shape[0]
     survival = np.multiply.accumulate(marginals)  # survival[k] = P(LO > k)
@@ -218,11 +218,7 @@ def sample_levels(
             reveal_end = lo.copy()
             reveal_end[hit] = np.maximum(ends, lo[hit] + 1)  # the max only guards underflow
             noisy[hit] = reveal_end[hit]
-    order = (-noisy).argsort(kind="stable")
-    ranked = noisy[order]
-    _check_ranked(ranked)
-    ranked_lo = ranked if noisy is lo else lo[order]
-    return ranked_lo, ranked, ranked_lo if reveal_end is lo else reveal_end[order]
+    return lo, noisy, reveal_end
 
 
 def _ranked_levels(survival: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,15 +234,14 @@ def update_levels(
 ) -> np.ndarray:
     """Parents' ones counts from what was seen, plus binomials for what was not.
 
-    ``parents`` indexes the parents' entries of the score arrays: ``step``
-    passes ``slice(0, mu)``, the head of a ranked population, so the
-    parents' arrays are views.  At position j: every parent with more than
-    j leading ones has a one, a parent with exactly j has a zero, and a
-    parent with fewer has a revealed bit or an unseen Bernoulli(p_j) one.
-    #(LO < j) is zero through the lowest parent LO, so one binomial covers
-    the positions after it.  ``reveal_end is fitness_true``, as
-    ``sample_levels`` returns it when no flip hit a first zero, means
-    nothing was revealed.
+    ``parents`` indexes the parents' entries of the score arrays; ``step``
+    passes the ``select_parents`` indices of a noisy population.  At
+    position j: every parent with more than j leading ones has a one, a
+    parent with exactly j has a zero, and a parent with fewer has a
+    revealed bit or an unseen Bernoulli(p_j) one.  #(LO < j) is zero
+    through the lowest parent LO, so one binomial covers the positions
+    after it.  ``reveal_end is fitness_true``, as ``sample_levels`` returns
+    it when no flip hit a first zero, means nothing was revealed.
     """
     n = marginals.shape[0]
     lo = fitness_true[parents]
@@ -372,7 +367,8 @@ def _step(
         return int(pop.fitness_true.max()), lambda: (pop.fitness_true, pop.fitness_noisy), ones
     if config.noise.active:
         fitness_true, fitness_noisy, reveal_end = sample_levels(marginals, config.lam, config.noise, rng)
-        ones = update_levels(fitness_true, reveal_end, slice(0, config.mu), marginals, rng)
+        parents = select_parents(sort_by_fitness(fitness_noisy), config.mu)
+        ones = update_levels(fitness_true, reveal_end, parents, marginals, rng)
         return int(fitness_true.max()), lambda: (fitness_true, fitness_noisy), ones
     survival = np.multiply.accumulate(marginals)  # survival[j] = P(LO > j)
     keys = rng.random(config.lam)

@@ -222,16 +222,6 @@ def exact_transition(marginals: Sequence[float], lam: int, mu: int, noise_p: flo
     )
 
 
-def exact_product_distribution(marginals: Sequence[float]) -> ExactDistribution:
-    """Law of a single individual over all 2**n bitstrings."""
-    marginals = np.asarray(marginals, dtype=np.float64)
-    n = marginals.shape[0]
-    bits = _all_bit_matrices(n)
-    probs = np.where(bits == 1, marginals, 1.0 - marginals).prod(axis=1)
-    support = tuple(tuple(int(b) for b in row) for row in bits)
-    return ExactDistribution(support=support, probabilities=probs)
-
-
 def exact_expected_max_leading_ones(n: int, k: int, q: float) -> float:
     """Expected maximum leading-ones value among k independent individuals.
 

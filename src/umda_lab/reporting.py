@@ -35,11 +35,5 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
-
-
 def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

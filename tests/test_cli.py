@@ -4,7 +4,9 @@ import pytest
 
 from umda_lab import cli, experiments
 from umda_lab.cli import main
-from umda_lab.reporting import RUNTIME_HEADER, TRACE_HEADER, read_csv
+from umda_lab.reporting import RUNTIME_HEADER, TRACE_HEADER
+
+from test_reporting import read_csv
 
 
 def _run_cli(capsys, *argv):
@@ -394,11 +396,14 @@ def test_cli_import_leaves_scipy_unloaded():
     import sys
 
     code = "import sys, umda_lab.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:  # the child writes no bytecode cache either
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
+        env=env,
         check=True,
     )
     assert out.stdout.strip() == "[]"

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from umda_lab import NoiseConfig, UmdaConfig, init_model, sample_population
 from umda_lab.engine import ENGINES, step
 from umda_lab.model import clamp_vector
-from umda_lab.oracle import empirical_vs_exact, exact_product_distribution
+from umda_lab.oracle import empirical_vs_exact
+
+from test_oracle import exact_product_distribution
 
 
 def clamp_to_margins(value, n):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -16,11 +17,19 @@ from umda_lab.oracle import (
     enumerate_level_distribution,
     exact_expected_max_leading_ones,
     exact_level_chain,
-    exact_product_distribution,
     exact_transition,
     tail_marginal_frequency_test,
     total_variation,
 )
+
+
+def exact_product_distribution(marginals):
+    """Reference law of a single individual over all 2**n bitstrings."""
+    marginals = np.asarray(marginals, dtype=np.float64)
+    bits = _all_bit_matrices(marginals.shape[0])
+    probs = np.where(bits == 1, marginals, 1.0 - marginals).prod(axis=1)
+    support = tuple(tuple(int(b) for b in row) for row in bits)
+    return ExactDistribution(support=support, probabilities=probs)
 
 
 def test_chain_single_position_is_binomial():
@@ -53,6 +62,7 @@ def test_chain_matches_enumeration_on_margin_grid():
                 assert total_variation(chain, enumerated) < 1e-12
 
 
+@functools.cache  # three tests compare against the same 16-bit walks
 def _enumerate_by_dict_walk(marginals, size):
     # reference: the per-population dict walk the radix-code tally replaced
     marginals = np.asarray(marginals, dtype=np.float64)
