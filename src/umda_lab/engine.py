@@ -13,10 +13,12 @@ marginal snapshots) and looks the next model up in a table built once per
 run: entry k is k/mu clamped to the borders, the same division and clamp
 for every count.  Every count is checked to lie in [0, mu], so every
 model ``run`` makes is inside the borders and it skips ``step``'s border
-check.  It reads each population's best true score, and builds the score
-arrays only for the iterations the trace records, computing their level
-statistics a bounded block of rows at a time.  ``oracle transition``
-samples steps.
+check.  It reads each population's best true score.  A noise-free
+``levels`` step also gives z_mu, so its trace rows build no scores (only
+``step`` builds them); a ``bits`` or noisy iteration the trace records
+keeps its score arrays, and their level statistics are computed a bounded
+block of rows at a time.  Every trace row is checked for
+0 <= z_mu <= z* = best true score.  ``oracle transition`` samples steps.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -39,10 +41,11 @@ of both engines.  Stream order per iteration: lambda uniforms for the
 leading-ones values, then (noise only) lambda coins, one flip index per
 noisy individual and one uniform per individual whose flip hit its first
 zero, then one binomial per position.  Without noise the lambda uniforms
-are sorted, the parents are the mu smallest and the scores are built only
-where a trace reads them; with noise, where coin i belongs to individual
-i, the scored population stays in sampling order and is selected as a
-``bits`` population is.  Neither ranking draws anything.
+are sorted, the parents are the mu smallest and the trace values are read
+off the parents' counts (the scores are built only by ``step``); with
+noise, where coin i belongs to individual i, the scored population stays
+in sampling order and is selected as a ``bits`` population is.  Neither
+ranking draws anything.
 
 Each run owns one random stream, so every run is bit-reproducible from its
 seed and engine.
@@ -67,9 +70,9 @@ ENGINES = ("levels", "bits")
 DENSE_UNTIL = 100_000
 THIN_EVERY = 100
 
-# ``run`` passes the recorded iterations' scores to ``iteration_stats`` in
-# blocks of about this many 8-byte values: lambda scores and n + 1 level
-# counts per row (512 KiB).
+# ``run`` passes the recorded ``bits`` and noisy iterations' scores to
+# ``iteration_stats`` in blocks of about this many 8-byte values: lambda
+# scores and n + 1 level counts per row (512 KiB).
 _STATS_BLOCK_VALUES = 2**16
 
 
@@ -270,12 +273,15 @@ def run(config: UmdaConfig) -> RunResult:
     a normal result with ``success`` False.  The next model is the table
     entry of each of the parents' ones counts, k/mu clamped to the borders;
     a count outside [0, mu] raises, so no model needs ``step``'s border
-    check.  Score arrays, level statistics and with them the
-    counting-identity check are built only for the iterations the trace
-    keeps: every one below ``DENSE_UNTIL``, every ``THIN_EVERY``-th after
-    it, and the final one.  Their score arrays are kept and passed to
-    ``iteration_stats`` a block of rows at a time, the last block before the
-    ``Trace`` is built.
+    check.  The trace keeps every iteration below ``DENSE_UNTIL``, every
+    ``THIN_EVERY``-th after it, and the final one.  A noise-free ``levels``
+    row is ``(t, best_true, z_mu)`` as the step gives them, with z* the best
+    true score and no misranks.  A ``bits`` or noisy row keeps its score
+    arrays, which pass to ``iteration_stats`` (level statistics and the
+    counting-identity check) a block of rows at a time, the last block
+    before the ``Trace`` is built.  Every trace must have z* equal to the
+    best true score and 0 <= z_mu <= z* on each row, or ``run`` raises
+    ``AssertionError``.
     """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
@@ -283,12 +289,13 @@ def run(config: UmdaConfig) -> RunResult:
     tail_start = config.track_marginals_from
     block_rows = max(1, _STATS_BLOCK_VALUES // (config.lam + config.n + 1))
     recorded: list[tuple[int, int]] = []  # (t, best_true) of every recorded iteration
+    z_mus: list[int] = []  # z_mu of every recorded noise-free ``levels`` iteration
     scores: list[tuple[np.ndarray, np.ndarray]] = []  # recorded (true, noisy) scores not yet in ``stats``
     stats: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (z_mu, z_star, misranked) per block
     tails: list[np.ndarray] = []
     iterations = 0
     while True:
-        best_true, population, ones = _step(model, config, rng)
+        best_true, z_mu, population, ones = _step(model, config, rng)
         t = iterations
         iterations += 1
         evals = config.lam * iterations
@@ -296,10 +303,13 @@ def run(config: UmdaConfig) -> RunResult:
         final = success or evals >= config.max_evals
         if config.record_trace and (final or t < DENSE_UNTIL or t % THIN_EVERY == 0):
             recorded.append((t, best_true))
-            scores.append(population())
-            if len(scores) == block_rows:
-                stats.append(_block_stats(scores, config))
-                scores = []
+            if z_mu is not None:
+                z_mus.append(z_mu)
+            else:
+                scores.append(population())
+                if len(scores) == block_rows:
+                    stats.append(_block_stats(scores, config))
+                    scores = []
             if tail_start is not None:
                 tails.append(model[tail_start:].copy())
         if final:
@@ -312,7 +322,12 @@ def run(config: UmdaConfig) -> RunResult:
         if scores:
             stats.append(_block_stats(scores, config))
         t_column, best_column = np.array(recorded, dtype=np.int64).T
-        z_mu, z_star, misranked = (np.concatenate(column) for column in zip(*stats))
+        if stats:
+            z_mu, z_star, misranked = (np.concatenate(column) for column in zip(*stats))
+        else:  # noise-free ``levels`` rows
+            z_mu, z_star, misranked = np.array(z_mus, dtype=np.int64), best_column.copy(), np.zeros_like(best_column)
+        if (z_star != best_column).any() or (z_mu < 0).any() or (z_mu > z_star).any():
+            raise AssertionError("trace rows need z_star == best_true and 0 <= z_mu <= z_star")
         trace = Trace(t_column, z_mu, z_star, best_column, config.lam * (t_column + 1), misranked,
                       tail_start=tail_start, marginals_tail=np.array(tails) if tail_start is not None else None)
     return RunResult(success=success, evals=evals, iterations=iterations, best_true=best_true, trace=trace)
@@ -345,31 +360,34 @@ def step(
     the borders) and never modified.
     """
     check_marginals(marginals, config.n)
-    _, population, ones = _step(marginals, config, rng)
+    _, _, population, ones = _step(marginals, config, rng)
     return *population(), ones
 
 
 def _step(
     marginals: np.ndarray, config: UmdaConfig, rng: np.random.Generator
-) -> tuple[int, Callable[[], tuple[np.ndarray, np.ndarray]], np.ndarray]:
+) -> tuple[int, Optional[int], Callable[[], tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """``step`` without its border check, for the models ``run`` looks up in its clamped table.
 
-    Returns ``(best_true, population, ones)``; ``population()`` gives
+    Returns ``(best_true, z_mu, population, ones)``; ``population()`` gives
     ``(fitness_true, fitness_noisy)`` and draws nothing.  Noise-free
     ``levels`` parents are the mu smallest of the sorted keys, and the
     smallest key is a parent, so the best LO is the number of positions
-    where some parent has a one.
+    where some parent has a one, and z_mu, the lowest parent's LO, the
+    number where every parent has one (read before the binomial).
+    ``z_mu`` is None for ``bits`` and noisy steps, where only the scores
+    give it.
     """
     if config.engine == "bits":
         pop = evaluate_population(sample_population(marginals, config.lam, rng), config.noise, rng)
         parents = select_parents(sort_by_fitness(pop.fitness_noisy), config.mu)
         ones = update_model(pop.members, parents)
-        return int(pop.fitness_true.max()), lambda: (pop.fitness_true, pop.fitness_noisy), ones
+        return int(pop.fitness_true.max()), None, lambda: (pop.fitness_true, pop.fitness_noisy), ones
     if config.noise.active:
         fitness_true, fitness_noisy, reveal_end = sample_levels(marginals, config.lam, config.noise, rng)
         parents = select_parents(sort_by_fitness(fitness_noisy), config.mu)
         ones = update_levels(fitness_true, reveal_end, parents, marginals, rng)
-        return int(fitness_true.max()), lambda: (fitness_true, fitness_noisy), ones
+        return int(fitness_true.max()), None, lambda: (fitness_true, fitness_noisy), ones
     survival = np.multiply.accumulate(marginals)  # survival[j] = P(LO > j)
     keys = rng.random(config.lam)
     keys.sort()
@@ -378,5 +396,8 @@ def _step(
     best_true = int(np.count_nonzero(ones))
     unseen = config.mu - ones[:-1]  # #(parents with LO < j) at j = 1..n-1, non-decreasing
     first = unseen.size - np.count_nonzero(unseen)  # every parent's leading ones cover positions 1..first
+    z_mu = first  # the lowest parent's LO, unless every parent is optimal
+    if first == unseen.size and ones[-1] == config.mu:
+        z_mu += 1
     ones[first + 1:] += rng.binomial(unseen[first:], marginals[first + 1:])
-    return best_true, lambda: _ranked_levels(survival, keys), ones
+    return best_true, z_mu, lambda: _ranked_levels(survival, keys), ones

@@ -9,8 +9,8 @@ zero, with ``D[0]`` counting the zero-prefix individuals.
 
 The per-population functions work along the last axis: a 1-d score array is
 one population and gives one value (or one count vector), while a
-(rows, size) block of populations, such as the rows ``engine.run``
-records, gives one per row.
+(rows, size) block of populations, such as the ``bits`` and noisy rows
+``engine.run`` records, gives one per row.
 """
 
 from __future__ import annotations

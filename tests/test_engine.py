@@ -309,7 +309,7 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     assert traced.trace.t.tolist()[-1] == 49
 
 
-def test_noise_free_levels_build_scores_only_for_trace_rows(monkeypatch):
+def test_noise_free_levels_runs_build_no_scores(monkeypatch):
     built = []
     original = engine._ranked_levels
 
@@ -323,9 +323,9 @@ def test_noise_free_levels_build_scores_only_for_trace_rows(monkeypatch):
     untraced = run(replace(config, record_trace=False))
     assert built == []
     traced = run(config)
-    # one population per recorded row, the final row included, in trace order
+    # every trace value, the final row's included, comes from the steps' counts
     assert traced.trace.t.tolist()[-1] == untraced.iterations - 1 == 49
-    assert [fitness.max() for fitness in built] == traced.trace.best_true.tolist()
+    assert built == []
 
 
 @pytest.mark.parametrize("engine_name, noise_p, expected", [("bits", 0.4, 50), ("levels", 0.4, 50), ("levels", 0.0, 0)],
@@ -362,7 +362,7 @@ def _run_with_counts(config, counts, monkeypatch):
     def fake_step(marginals, config, rng):
         models.append(marginals.copy())
         scores = np.zeros(config.lam, dtype=np.int64)
-        return 0, lambda: (scores, scores), counts[len(models) - 1]
+        return 0, None, lambda: (scores, scores), counts[len(models) - 1]
 
     monkeypatch.setattr(engine, "_step", fake_step)
     run(replace(config, max_evals=config.lam * len(counts), record_trace=False))
@@ -413,6 +413,20 @@ def recorded_level_counts():
         instrumentation.level_counts = original
 
 
+def _replayed_level_counts(config):
+    """The (C, D) pairs ``iteration_stats`` counts on every population of a ``step`` replay of ``config``."""
+    rng = np.random.default_rng(config.seed)
+    model = init_model(config.n)
+    with recorded_level_counts() as counts:
+        for _ in range(config.max_evals // config.lam):  # a budget of whole populations
+            fitness_true, fitness_noisy, ones = engine.step(model, config, rng)
+            instrumentation.iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
+            if fitness_true.max() == config.n:
+                break
+            model = clamp_vector(ones / config.mu, config.n)
+    return counts
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=2, max_value=40),
@@ -431,6 +445,9 @@ def test_level_engine_keeps_borders_and_counting_identity(n, mu, extra, noise_p,
         result = run(config)
     tails = result.trace.marginals_tail
     assert np.all(tails >= 1.0 / n) and np.all(tails <= 1.0 - 1.0 / n)
+    if noise_p == 0.0:  # noise-free rows count nothing: count the populations of a ``step`` replay
+        assert counts == []
+        counts = _replayed_level_counts(config)
     assert len(counts) == result.iterations
     for (c, d), z_star in zip(counts, result.trace.z_star):
         assert c.shape == d.shape == (n,)
@@ -473,7 +490,7 @@ def test_noise_free_step_materializes_the_ranked_inverse_cdf(case):
     n, lam = marginals.shape[0], max(lam, 2)  # a config needs mu < lambda
     rng = np.random.default_rng(41)
     clone = copy.deepcopy(rng)
-    _, population, ones = engine._step(marginals, UmdaConfig(n=n, lam=lam, mu=1), rng)
+    _, _, population, ones = engine._step(marginals, UmdaConfig(n=n, lam=lam, mu=1), rng)
     fitness_true, fitness_noisy = population()
     reference = _inverse_cdf_levels(marginals, clone.random(lam))
     # one population, nothing revealed: the reference's multiset, ranked non-increasing
@@ -498,11 +515,12 @@ def test_noise_free_step_counts_the_mu_smallest_keys(case, mu_at):
     mu = {"one": 1, "middle": lam // 2, "all_but_one": lam - 1}[mu_at]
     rng = np.random.default_rng(47)
     clone = copy.deepcopy(rng)
-    best_true, population, ones = engine._step(marginals, UmdaConfig(n=marginals.shape[0], lam=lam, mu=mu), rng)
+    n = marginals.shape[0]
+    best_true, z_mu, population, ones = engine._step(marginals, UmdaConfig(n=n, lam=lam, mu=mu), rng)
     fitness_true, _ = population()
     clone.random(lam)
     np.testing.assert_array_equal(ones, update_levels(fitness_true, fitness_true, slice(0, mu), marginals, clone))
-    assert best_true == fitness_true.max()
+    assert (z_mu, best_true) == tuple(instrumentation.iteration_stats(fitness_true, fitness_true, n, mu)[:2])
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
@@ -527,12 +545,12 @@ def test_noise_free_step_keys_equal_to_prefix_products(mu):
     keys = np.array([0.25, 0.5, 0.0625, 0.9, 0.125, 0.0, 0.25])
     reference = np.sort(_inverse_cdf_levels(marginals, keys))[::-1]
     assert reference.tolist() == [4, 3, 2, 1, 1, 0, 0]
-    best_true, population, ones = engine._step(
+    best_true, z_mu, population, ones = engine._step(
         marginals, UmdaConfig(n=4, lam=keys.size, mu=mu), _KeysRng(keys, np.random.default_rng(mu)))
     np.testing.assert_array_equal(population()[0], reference)
     np.testing.assert_array_equal(ones, update_levels(reference, reference, slice(0, mu), marginals,
                                                       np.random.default_rng(mu)))
-    assert best_true == 4
+    assert (best_true, z_mu) == (4, reference[mu - 1])
 
 
 def test_noise_free_step_checks_the_parents_counts():
@@ -548,11 +566,16 @@ def test_noise_free_step_checks_the_parents_counts():
 def test_population_draws_nothing(engine_name, noise_p):
     config = UmdaConfig(n=30, lam=20, mu=4, noise=NoiseConfig(noise_p), engine=engine_name)
     rng = np.random.default_rng(12)
-    best_true, population, _ = engine._step(np.full(30, 0.9), config, rng)
+    best_true, z_mu, population, _ = engine._step(np.full(30, 0.9), config, rng)
     state = rng.bit_generator.state
     fitness_true, fitness_noisy = population()
     assert rng.bit_generator.state == state
     assert best_true == fitness_true.max() and fitness_true.shape == fitness_noisy.shape == (20,)
+    # only a noise-free ``levels`` step reads z_mu off its counts
+    if engine_name == "levels" and noise_p == 0.0:
+        assert z_mu == instrumentation.iteration_stats(fitness_true, fitness_noisy, 30, 4)[0]
+    else:
+        assert z_mu is None
 
 
 @pytest.mark.parametrize("zeros", [0, 1, 5, 9])

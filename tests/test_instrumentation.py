@@ -230,7 +230,10 @@ def test_trace_statistics_in_blocks_equal_the_row_by_row_replay(engine_name, noi
 
     monkeypatch.setattr(engine, "iteration_stats", counting)
     trace = run(config).trace
-    assert blocks == [4, 4, 4, 4, 2]  # 18 recorded rows: four full blocks, the last one partial
+    if engine_name == "levels" and noise_p == 0.0:
+        assert blocks == []  # noise-free rows are read off the steps' counts
+    else:
+        assert blocks == [4, 4, 4, 4, 2]  # 18 recorded rows: four full blocks, the last one partial
     monkeypatch.setattr(engine, "iteration_stats", original)
     replay = _replayed_trace(config)
     for column, want in zip((trace.t, trace.z_mu, trace.z_star, trace.best_true, trace.evals, trace.misranked), replay):
@@ -240,7 +243,7 @@ def test_trace_statistics_in_blocks_equal_the_row_by_row_replay(engine_name, noi
 
 @pytest.mark.parametrize("bad_row", [0, 5, 13])
 def test_a_counting_identity_violation_in_any_block_raises(bad_row, monkeypatch):
-    config = UmdaConfig(n=30, lam=4, mu=2, max_evals=200, seed=5)
+    config = UmdaConfig(n=30, lam=4, mu=2, max_evals=200, seed=5, engine="bits")  # a path that counts levels
     monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
     monkeypatch.setattr(engine, "THIN_EVERY", 6)
     monkeypatch.setattr(engine, "_STATS_BLOCK_VALUES", 4 * (config.lam + config.n + 1))
@@ -261,10 +264,93 @@ def test_a_counting_identity_violation_in_any_block_raises(bad_row, monkeypatch)
 
 
 def test_counting_identity_holds_throughout_a_run():
-    with recorded_level_counts() as counts:
-        result = run(UmdaConfig(n=10, lam=16, mu=4, seed=33, max_evals=3200))
+    config = UmdaConfig(n=10, lam=16, mu=4, seed=33, max_evals=3200)
+    result = run(config)
+    with recorded_level_counts() as counts:  # noise-free runs count nothing: count a ``step`` replay
+        _replayed_trace(config)
     assert len(counts) == result.iterations
     for c, d in counts:
         size = 16
         previous = np.concatenate(([size], c[:-1]))
         np.testing.assert_array_equal(previous, c + d)
+
+
+_NOISE_FREE_TRACES = {
+    "optima_at_least_mu": dict(n=3, lam=30, mu=2),  # the final row has z_mu = n
+    "mu_one": dict(n=40, lam=8, mu=1),
+    "mu_lambda_less_one": dict(n=20, lam=10, mu=9, max_evals=10 * 300),
+    "two": dict(n=2, lam=6, mu=3),
+    "thinned": dict(n=30, lam=4, mu=2, max_evals=200),
+    "underflow_budget": dict(n=1200, lam=40, mu=20, max_evals=40 * 30),  # P(LO > k) underflows, no success
+    "tails": dict(n=12, lam=20, mu=5, track_marginals_from=0),
+}
+
+
+@pytest.mark.parametrize("case", _NOISE_FREE_TRACES, ids=list(_NOISE_FREE_TRACES))
+def test_noise_free_trace_rows_equal_step_and_iteration_stats(case, monkeypatch):
+    # the rows ``run`` reads off the steps' counts are the level statistics of the populations
+    # ``step`` builds, each counted with its identity checked
+    if case == "thinned":
+        monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
+        monkeypatch.setattr(engine, "THIN_EVERY", 6)
+    final_z_mu = []
+    for seed in range(3):
+        config = UmdaConfig(**_NOISE_FREE_TRACES[case], seed=seed)
+        trace = run(config).trace
+        final_z_mu.append(trace.z_mu[-1])
+        with recorded_level_counts() as counts:
+            replay = _replayed_trace(config)
+        assert len(counts) == len(trace)
+        for column, want in zip((trace.t, trace.z_mu, trace.z_star, trace.best_true, trace.evals, trace.misranked),
+                                replay):
+            assert column.dtype == np.int64
+            np.testing.assert_array_equal(column, want)
+        if case == "thinned":
+            assert trace.t.tolist() == list(range(10)) + [12, 18, 24, 30, 36, 42, 48, 49]
+        if case == "underflow_budget":
+            assert trace.z_star[-1] < config.n and np.multiply.accumulate(np.full(config.n, 0.5))[-1] == 0.0
+    if case == "optima_at_least_mu":
+        assert config.n in final_z_mu  # some run ends with at least mu optima
+
+
+@pytest.mark.parametrize("bad", [-1, 1])
+@pytest.mark.parametrize("bad_t", [0, 18])  # trace rows 0 and 13
+def test_a_noise_free_row_with_z_mu_outside_zero_to_z_star_raises(bad_t, bad, monkeypatch):
+    # z_mu below 0 or above the row's best true score
+    monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
+    monkeypatch.setattr(engine, "THIN_EVERY", 6)
+    steps = []
+    original = engine._step
+
+    def corrupting(marginals, config, rng):
+        best_true, z_mu, population, ones = original(marginals, config, rng)
+        steps.append(best_true)
+        if len(steps) - 1 == bad_t:
+            z_mu = -1 if bad < 0 else best_true + 1
+        return best_true, z_mu, population, ones
+
+    monkeypatch.setattr(engine, "_step", corrupting)
+    with pytest.raises(AssertionError, match="trace rows need"):
+        run(UmdaConfig(n=30, lam=4, mu=2, max_evals=200, seed=5))
+
+
+@pytest.mark.parametrize("column", ["z_star", "z_mu"])
+@pytest.mark.parametrize("engine_name, noise_p", [("bits", 0.0), ("levels", 0.4)])
+def test_a_scored_row_with_z_star_off_the_best_true_score_raises(engine_name, noise_p, column, monkeypatch):
+    # a block row whose z* is not the best true score, or whose z_mu lies above its z*
+    monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
+    monkeypatch.setattr(engine, "THIN_EVERY", 6)
+    original = engine.iteration_stats
+
+    def corrupting(fitness_true, fitness_noisy, n, mu):
+        z_mu, z_star, misranked = original(fitness_true, fitness_noisy, n, mu)
+        z_mu, z_star = z_mu.copy(), z_star.copy()
+        if column == "z_star":
+            z_star[5] += 1
+        else:
+            z_mu[5] = z_star[5] + 1
+        return z_mu, z_star, misranked
+
+    monkeypatch.setattr(engine, "iteration_stats", corrupting)
+    with pytest.raises(AssertionError, match="trace rows need"):
+        run(UmdaConfig(n=30, lam=4, mu=2, max_evals=200, noise=NoiseConfig(noise_p), seed=5, engine=engine_name))
