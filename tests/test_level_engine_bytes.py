@@ -4,6 +4,11 @@ The hashes pin every file of the reduced ``configs/`` bundles that
 ``test_bit_engine_bytes`` runs on the bit engine, here on the default level
 engine with one and with two worker processes.  They were recorded before
 the four scenario runners were folded into one table of scenarios.
+
+The noisy pins cover the traced noisy ``levels`` rows: the ``umda-lab run
+--trace`` argv of the noisy bit-engine pin, and the reduced
+``high_pressure`` bundle with ``noise_p`` 0.2.  They were recorded before
+``run`` appended every trace row as its iteration ends.
 """
 
 import hashlib
@@ -11,7 +16,7 @@ import json
 
 import pytest
 
-from test_bit_engine_bytes import CONFIGS, REDUCED
+from test_bit_engine_bytes import CONFIGS, REDUCED, RUN_TRACE_SHA256
 from umda_lab.cli import main
 
 LEVEL_BUNDLE_SHA256 = {
@@ -48,18 +53,52 @@ LEVEL_BUNDLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("scenario", sorted(REDUCED))
-def test_level_engine_bundle_bytes(scenario, jobs, tmp_path, capsys):
-    config = {**json.loads((CONFIGS / f"{scenario}.json").read_text()), **REDUCED[scenario], "engine": "levels"}
+NOISY_RUN_ARGV = ("--n", "20", "--lambda", "12", "--mu", "3", "--seed", "4", "--noise-p", "0.2")
+NOISY_RUN_TRACE_SHA256 = "7640f8b9e9da889c5ab84bc9748485625202cf4164a92fb477b130fce284e925"
+
+NOISY_HIGH_PRESSURE_SHA256 = {
+    "manifest.json": "ea520f0d119ec82d4acb0b3b107298f28601a46ae4a48fc8eb0d452c76aad4d4",
+    "plot.svg": "07d8f02ad1643abb4e36d5b276ca816917179c8636bda8fef68280325939a2b5",
+    "runtime.csv": "810810eb4d898c25a89af0c49c7d73fc889d007a3e47246faca2f65ae06aa88e",
+    "trace.csv": "495166e528a0ad3fc490489e060ea28bbeaae29f62d0c13d2e63738d51cb8148",
+    "traces/trace_n20_r000.csv": "495166e528a0ad3fc490489e060ea28bbeaae29f62d0c13d2e63738d51cb8148",
+    "traces/trace_n20_r001.csv": "40646d4c16170a7e6f519c7398030b5ea94fbd233d79544a32856d9149bfe782",
+    "traces/trace_n30_r000.csv": "358279ceeeea4e85e138f16b748ce7e0a5f2e32f3745a9d726898dfa4b149868",
+    "traces/trace_n30_r001.csv": "469d8a824d090cdd435a97abed766f6a6b1e9af57c4ca164c4df5d2223742333",
+}
+
+
+def _bundle_sha256(config, jobs, tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     bundle = tmp_path / "bundle"
     assert main(["experiment", str(config_path), "--out-dir", str(bundle), "--jobs", str(jobs)]) == 0
     capsys.readouterr()
-    got = {
+    return {
         path.relative_to(bundle).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(bundle.rglob("*"))
         if path.is_file()
     }
-    assert got == LEVEL_BUNDLE_SHA256[scenario]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("scenario", sorted(REDUCED))
+def test_level_engine_bundle_bytes(scenario, jobs, tmp_path, capsys):
+    config = {**json.loads((CONFIGS / f"{scenario}.json").read_text()), **REDUCED[scenario], "engine": "levels"}
+    assert _bundle_sha256(config, jobs, tmp_path, capsys) == LEVEL_BUNDLE_SHA256[scenario]
+
+
+def test_level_engine_noisy_run_trace_bytes(tmp_path, capsys):
+    assert NOISY_RUN_ARGV in RUN_TRACE_SHA256  # the bit engine pins the same run
+    assert main(["run", *NOISY_RUN_ARGV, "--trace", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == NOISY_RUN_TRACE_SHA256
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_level_engine_noisy_bundle_bytes(jobs, tmp_path, capsys):
+    config = {
+        **json.loads((CONFIGS / "high_pressure.json").read_text()), **REDUCED["high_pressure"],
+        "engine": "levels", "noise_p": 0.2,
+    }
+    assert _bundle_sha256(config, jobs, tmp_path, capsys) == NOISY_HIGH_PRESSURE_SHA256
