@@ -4,7 +4,6 @@ from ._version import VERSION as __version__
 from .engine import RunResult, Trace, UmdaConfig, run, select_parents, sort_by_fitness, update_model
 from .instrumentation import (
     ThresholdParams,
-    first_hit,
     iteration_stats,
     level_counts,
     noisy_misrank_count,
@@ -33,7 +32,6 @@ __all__ = [
     "UmdaConfig",
     "evaluate_population",
     "expected_noisy_fitness",
-    "first_hit",
     "init_model",
     "iteration_stats",
     "leading_ones",

@@ -13,12 +13,12 @@ marginal snapshots) and looks the next model up in a table built once per
 run: entry k is k/mu clamped to the borders, the same division and clamp
 for every count.  Every count is checked to lie in [0, mu], so every
 model ``run`` makes is inside the borders and it skips ``step``'s border
-check.  It reads each population's best true score.  A noise-free
-``levels`` step also gives z_mu, so its trace rows build no scores (only
-``step`` builds them); a ``bits`` or noisy iteration the trace records
-keeps its score arrays, and their level statistics are computed a bounded
-block of rows at a time.  Every trace row is checked for
-0 <= z_mu <= z* = best true score.  ``oracle transition`` samples steps.
+check.  It reads each population's best true score and records each
+trace row as its iteration ends.  A noise-free ``levels`` step also gives
+z_mu, so its rows build no scores (only ``step`` builds them); a ``bits``
+or noisy row passes its scores to ``iteration_stats``.  Every trace row is
+checked for 0 <= z_mu <= z* = best true score.  ``oracle transition``
+samples steps.
 
 ``bits`` draws every bit of every individual.  Per iteration its stream is
 consumed in a fixed order: the (lambda, n) uniform sampling block
@@ -69,11 +69,6 @@ ENGINES = ("levels", "bits")
 # after it, and the final one.
 DENSE_UNTIL = 100_000
 THIN_EVERY = 100
-
-# ``run`` passes the recorded ``bits`` and noisy iterations' scores to
-# ``iteration_stats`` in blocks of about this many 8-byte values: lambda
-# scores and n + 1 level counts per row (512 KiB).
-_STATS_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -274,12 +269,12 @@ def run(config: UmdaConfig) -> RunResult:
     entry of each of the parents' ones counts, k/mu clamped to the borders;
     a count outside [0, mu] raises, so no model needs ``step``'s border
     check.  The trace keeps every iteration below ``DENSE_UNTIL``, every
-    ``THIN_EVERY``-th after it, and the final one.  A noise-free ``levels``
-    row is ``(t, best_true, z_mu)`` as the step gives them, with z* the best
-    true score and no misranks.  A ``bits`` or noisy row keeps its score
-    arrays, which pass to ``iteration_stats`` (level statistics and the
-    counting-identity check) a block of rows at a time, the last block
-    before the ``Trace`` is built.  Every trace must have z* equal to the
+    ``THIN_EVERY``-th after it, and the final one, each row recorded as its
+    iteration ends.  A noise-free ``levels`` row is ``(t, z_mu, best_true,
+    0, best_true)``: z_mu as the step gives it, z* the best true score and
+    no misranks.  A ``bits`` or noisy row is ``(t, z_mu, z_star, misranked,
+    best_true)`` from ``iteration_stats`` on its scores (level statistics and
+    the counting-identity check).  Every trace must have z* equal to the
     best true score and 0 <= z_mu <= z* on each row, or ``run`` raises
     ``AssertionError``.
     """
@@ -287,11 +282,7 @@ def run(config: UmdaConfig) -> RunResult:
     model = init_model(config.n)
     levels = clamp_vector(np.arange(config.mu + 1) / config.mu, config.n)  # levels[k] = clamp(k / mu)
     tail_start = config.track_marginals_from
-    block_rows = max(1, _STATS_BLOCK_VALUES // (config.lam + config.n + 1))
-    recorded: list[tuple[int, int]] = []  # (t, best_true) of every recorded iteration
-    z_mus: list[int] = []  # z_mu of every recorded noise-free ``levels`` iteration
-    scores: list[tuple[np.ndarray, np.ndarray]] = []  # recorded (true, noisy) scores not yet in ``stats``
-    stats: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (z_mu, z_star, misranked) per block
+    rows: list[tuple[int, ...]] = []  # (t, z_mu, z_star, misranked, best_true) of every recorded iteration
     tails: list[np.ndarray] = []
     iterations = 0
     while True:
@@ -302,14 +293,10 @@ def run(config: UmdaConfig) -> RunResult:
         success = best_true == config.n
         final = success or evals >= config.max_evals
         if config.record_trace and (final or t < DENSE_UNTIL or t % THIN_EVERY == 0):
-            recorded.append((t, best_true))
             if z_mu is not None:
-                z_mus.append(z_mu)
+                rows.append((t, z_mu, best_true, 0, best_true))
             else:
-                scores.append(population())
-                if len(scores) == block_rows:
-                    stats.append(_block_stats(scores, config))
-                    scores = []
+                rows.append((t, *iteration_stats(*population(), config.n, config.mu), best_true))
             if tail_start is not None:
                 tails.append(model[tail_start:].copy())
         if final:
@@ -319,34 +306,12 @@ def run(config: UmdaConfig) -> RunResult:
         model = levels[ones]
     trace = None
     if config.record_trace:
-        if scores:
-            stats.append(_block_stats(scores, config))
-        t_column, best_column = np.array(recorded, dtype=np.int64).T
-        if stats:
-            z_mu, z_star, misranked = (np.concatenate(column) for column in zip(*stats))
-        else:  # noise-free ``levels`` rows
-            z_mu, z_star, misranked = np.array(z_mus, dtype=np.int64), best_column.copy(), np.zeros_like(best_column)
+        t_column, z_mu, z_star, misranked, best_column = np.array(rows, dtype=np.int64).T
         if (z_star != best_column).any() or (z_mu < 0).any() or (z_mu > z_star).any():
             raise AssertionError("trace rows need z_star == best_true and 0 <= z_mu <= z_star")
         trace = Trace(t_column, z_mu, z_star, best_column, config.lam * (t_column + 1), misranked,
                       tail_start=tail_start, marginals_tail=np.array(tails) if tail_start is not None else None)
     return RunResult(success=success, evals=evals, iterations=iterations, best_true=best_true, trace=trace)
-
-
-def _block_stats(
-    scores: list[tuple[np.ndarray, np.ndarray]], config: UmdaConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``iteration_stats`` of recorded iterations' (true, noisy) scores, one row per iteration.
-
-    Without noise every noisy array is its true array, so only the true
-    scores are stacked and ``iteration_stats`` skips the misrank count.
-    """
-    fitness_true = np.array([true for true, _ in scores])
-    if all(noisy is true for true, noisy in scores):
-        fitness_noisy = fitness_true
-    else:
-        fitness_noisy = np.array([noisy for _, noisy in scores])
-    return iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
 
 
 def step(

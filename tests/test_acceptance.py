@@ -9,6 +9,7 @@ results do not depend on the number of workers.
 import itertools
 import json
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from umda_lab.experiments import (
     fit_power_model,
     run_experiment,
 )
-from umda_lab.instrumentation import first_hit
 from umda_lab.oracle import (
     enumerate_level_distribution,
     exact_expected_max_leading_ones,
@@ -39,6 +39,17 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {number} {name}: {status}{suffix}")
     assert ok, f"criterion {number} {name} failed{suffix}"
+
+
+def first_hit(z_mu: Sequence[int], alpha: Optional[float]) -> Optional[int]:
+    """First 0-indexed trace position where the depth reaches ``alpha``.
+
+    None if the depth never reaches it, or if alpha is undefined.
+    """
+    if alpha is None:
+        return None
+    hits = np.nonzero(np.asarray(z_mu) >= alpha)[0]
+    return int(hits[0]) if hits.size else None
 
 
 @pytest.fixture(scope="module")

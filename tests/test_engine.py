@@ -293,7 +293,7 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     original = engine.iteration_stats
 
     def counting(fitness_true, fitness_noisy, n, mu):
-        calls.append(fitness_true.reshape(-1, fitness_true.shape[-1]))
+        calls.append(fitness_true)
         return original(fitness_true, fitness_noisy, n, mu)
 
     monkeypatch.setattr(engine, "iteration_stats", counting)
@@ -302,10 +302,9 @@ def test_iteration_stats_runs_once_per_trace_row(engine_name, monkeypatch):
     run(replace(config, record_trace=False))
     assert calls == []
     traced = run(config)
-    rows = np.concatenate(calls)
-    # every recorded iteration's population passes once, in trace order
-    assert rows.shape == (len(traced.trace), config.lam)
-    assert rows.max(axis=1).tolist() == traced.trace.best_true.tolist()
+    # every recorded iteration's population passes once, as one 1-d score array, in trace order
+    assert [scores.shape for scores in calls] == [(config.lam,)] * len(traced.trace)
+    assert [scores.max() for scores in calls] == traced.trace.best_true.tolist()
     assert traced.trace.t.tolist()[-1] == 49
 
 
@@ -393,17 +392,13 @@ def test_ones_count_outside_zero_to_mu_raises(bad, monkeypatch):
 
 @contextmanager
 def recorded_level_counts():
-    """Collect the full-length (C, D) vectors of every population ``iteration_stats`` counts.
-
-    ``run`` counts blocks of rows, so each recorded block is split into
-    per-row pairs.
-    """
+    """Collect the full-length (C, D) vectors of every population ``iteration_stats`` counts."""
     counts = []
     original = instrumentation.level_counts
 
     def recording(fitness, n):
         c, d = original(fitness, n)
-        counts.extend(zip(c.reshape(-1, n), d.reshape(-1, n)))
+        counts.append((c, d))
         return c, d
 
     instrumentation.level_counts = recording

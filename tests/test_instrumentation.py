@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from test_acceptance import first_hit
 from test_engine import recorded_level_counts
 from umda_lab import (
     NoiseConfig,
     UmdaConfig,
     engine,
     instrumentation,
-    first_hit,
     iteration_stats,
     level_counts,
     noisy_misrank_count,
@@ -175,26 +175,6 @@ def test_summarize_trace_tau_is_minimal():
     assert first_hit([10, 48, 20, 50], 47.0) == 1
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7])
-@pytest.mark.parametrize("noisy", [False, True])
-def test_block_statistics_equal_row_by_row(rows, noisy):
-    n, lam, mu = 40, 40, 6
-    rng = np.random.default_rng(rows)
-    fitness_true = np.minimum(rng.geometric(0.15, size=(rows, lam)) - 1, n)
-    fitness_noisy = np.minimum(fitness_true + rng.integers(0, 8, size=(rows, lam)), n) if noisy else fitness_true
-    c, d = level_counts(fitness_true, n)
-    block = iteration_stats(fitness_true, fitness_noisy, n, mu)
-    assert c.shape == d.shape == (rows, n)
-    assert all(column.shape == (rows,) for column in block)
-    for i in range(rows):
-        row_noisy = fitness_noisy[i] if noisy else fitness_true[i]
-        row_c, row_d = level_counts(fitness_true[i], n)
-        np.testing.assert_array_equal(c[i], row_c)
-        np.testing.assert_array_equal(d[i], row_d)
-        assert tuple(column[i] for column in block) == iteration_stats(fitness_true[i], row_noisy, n, mu)
-    assert block[2].all() == noisy  # every noisy row misranks some
-
-
 def _replayed_trace(config):
     """Trace columns by hand: ``step`` in a loop and ``iteration_stats`` on every recorded row."""
     rng = np.random.default_rng(config.seed)
@@ -216,24 +196,23 @@ def _replayed_trace(config):
 
 @pytest.mark.parametrize("noise_p", [0.0, 0.4])
 @pytest.mark.parametrize("engine_name", ENGINES)
-def test_trace_statistics_in_blocks_equal_the_row_by_row_replay(engine_name, noise_p, monkeypatch):
+def test_trace_rows_equal_the_step_replay(engine_name, noise_p, monkeypatch):
     config = UmdaConfig(n=30, lam=4, mu=2, max_evals=200, noise=NoiseConfig(noise_p), seed=5, engine=engine_name)
     monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
     monkeypatch.setattr(engine, "THIN_EVERY", 6)
-    monkeypatch.setattr(engine, "_STATS_BLOCK_VALUES", 4 * (config.lam + config.n + 1))  # 4 rows a block
-    blocks = []
+    calls = []
     original = engine.iteration_stats
 
     def counting(fitness_true, fitness_noisy, n, mu):
-        blocks.append(fitness_true.shape[0])
+        calls.append(fitness_true.shape)
         return original(fitness_true, fitness_noisy, n, mu)
 
     monkeypatch.setattr(engine, "iteration_stats", counting)
     trace = run(config).trace
     if engine_name == "levels" and noise_p == 0.0:
-        assert blocks == []  # noise-free rows are read off the steps' counts
+        assert calls == []  # noise-free rows are read off the steps' counts
     else:
-        assert blocks == [4, 4, 4, 4, 2]  # 18 recorded rows: four full blocks, the last one partial
+        assert calls == [(config.lam,)] * 18  # one population per recorded row, 18 rows
     monkeypatch.setattr(engine, "iteration_stats", original)
     replay = _replayed_trace(config)
     for column, want in zip((trace.t, trace.z_mu, trace.z_star, trace.best_true, trace.evals, trace.misranked), replay):
@@ -242,20 +221,18 @@ def test_trace_statistics_in_blocks_equal_the_row_by_row_replay(engine_name, noi
 
 
 @pytest.mark.parametrize("bad_row", [0, 5, 13])
-def test_a_counting_identity_violation_in_any_block_raises(bad_row, monkeypatch):
+def test_a_counting_identity_violation_in_any_row_raises(bad_row, monkeypatch):
     config = UmdaConfig(n=30, lam=4, mu=2, max_evals=200, seed=5, engine="bits")  # a path that counts levels
     monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
     monkeypatch.setattr(engine, "THIN_EVERY", 6)
-    monkeypatch.setattr(engine, "_STATS_BLOCK_VALUES", 4 * (config.lam + config.n + 1))
     seen = [0]
     original = instrumentation.level_counts
 
     def corrupting(fitness, n):
         c, d = original(fitness, n)
-        rows = d.reshape(-1, n)
-        if seen[0] <= bad_row < seen[0] + rows.shape[0]:
-            rows[bad_row - seen[0], 3] += 1
-        seen[0] += rows.shape[0]
+        if seen[0] == bad_row:
+            d[3] += 1
+        seen[0] += 1
         return c, d
 
     monkeypatch.setattr(instrumentation, "level_counts", corrupting)
@@ -337,18 +314,20 @@ def test_a_noise_free_row_with_z_mu_outside_zero_to_z_star_raises(bad_t, bad, mo
 @pytest.mark.parametrize("column", ["z_star", "z_mu"])
 @pytest.mark.parametrize("engine_name, noise_p", [("bits", 0.0), ("levels", 0.4)])
 def test_a_scored_row_with_z_star_off_the_best_true_score_raises(engine_name, noise_p, column, monkeypatch):
-    # a block row whose z* is not the best true score, or whose z_mu lies above its z*
+    # the 6th scored row's z* is not the best true score, or its z_mu lies above its z*
     monkeypatch.setattr(engine, "DENSE_UNTIL", 10)
     monkeypatch.setattr(engine, "THIN_EVERY", 6)
+    seen = [0]
     original = engine.iteration_stats
 
     def corrupting(fitness_true, fitness_noisy, n, mu):
         z_mu, z_star, misranked = original(fitness_true, fitness_noisy, n, mu)
-        z_mu, z_star = z_mu.copy(), z_star.copy()
-        if column == "z_star":
-            z_star[5] += 1
-        else:
-            z_mu[5] = z_star[5] + 1
+        if seen[0] == 5:
+            if column == "z_star":
+                z_star += 1
+            else:
+                z_mu = z_star + 1
+        seen[0] += 1
         return z_mu, z_star, misranked
 
     monkeypatch.setattr(engine, "iteration_stats", corrupting)
