@@ -10,8 +10,9 @@ each outcome of its space, under a size cap checked before anything of that
 size is allocated; they are correctness anchors, not engines.  The level
 enumeration tallies its populations by radix code in numpy rather than one
 by one in Python, and still shares no code with the chain.  It and the
-brute-force expected maximum build their bit rows and weights in
-fixed-size blocks, so only one block of rows is held at a time.
+brute-force expected maximum build no population bit rows: weights come
+from one outer product per bit, and codes and maxima from one outer sum or
+maximum per individual over the 2^n single individuals.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ CHAIN_MAX_N = 6
 ENUMERATION_MAX_BITS = 16
 TRANSITION_MAX_OUTCOMES = 2**20
 _TRANSITION_CHUNK = 2**16
-_ENUMERATION_BLOCK = 2**12  # population codes whose bit rows are held at once
 CHI_SQUARE_SIGNIFICANCE = 0.001
 
 
@@ -120,15 +120,23 @@ def _enumeration_outcomes(total_bits: int) -> int:
     return 2**total_bits
 
 
-def _bit_rows(total_bits: int, start: int, stop: int) -> np.ndarray:
-    """Bit rows of the codes ``start``..``stop - 1``, most significant bit first."""
-    codes = np.arange(start, stop, dtype=np.int64)
+def _all_bit_matrices(total_bits: int) -> np.ndarray:
+    """Bit rows of every code of ``total_bits`` bits, most significant bit first."""
+    codes = np.arange(_enumeration_outcomes(total_bits), dtype=np.int64)
     shifts = np.arange(total_bits - 1, -1, -1)
     return ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def _all_bit_matrices(total_bits: int) -> np.ndarray:
-    return _bit_rows(total_bits, 0, _enumeration_outcomes(total_bits))
+def _product_weights(p: np.ndarray) -> np.ndarray:
+    """Product weight of every bit string of ``len(p)`` bits, most significant bit first.
+
+    One outer product per bit, so each weight is the left-to-right chain of
+    factors that a row-wise ``prod`` of the bit row's factors performs.
+    """
+    weights = np.ones(1)
+    for factors in np.stack([1.0 - p, p], axis=1):
+        weights = (weights[:, None] * factors).ravel()
+    return weights
 
 
 def enumerate_level_distribution(marginals: Sequence[float], size: int) -> ExactDistribution:
@@ -136,30 +144,24 @@ def enumerate_level_distribution(marginals: Sequence[float], size: int) -> Exact
 
     Visits all 2**(size*n) populations, weighting each by its product
     probability, and tallies them by the radix code of their count vector
-    (level 1 the most significant digit, so code order is tuple order).  The
-    rows are built in blocks, but the weights are added in population order
-    by one tally, so the law is the one a plain per-population walk gives,
-    bit for bit; outcomes of weight zero stay in the support.  Independent of
-    the chain construction above.
+    (level 1 the most significant digit, so code order is tuple order).  An
+    individual with LO leading ones adds one to the digits of levels 1..LO,
+    so codes are outer sums over individuals, the first most significant.
+    The weights are added in population order by one tally, so the law is
+    the one a plain per-population walk gives, bit for bit; outcomes of
+    weight zero stay in the support.  Independent of the chain above.
     """
     marginals = np.asarray(marginals, dtype=np.float64)
     n = marginals.shape[0]
-    total_bits = size * n
-    outcomes = _enumeration_outcomes(total_bits)
-    flat_p = np.tile(marginals, size)
+    _enumeration_outcomes(size * n)
     radix = size + 1
-    weights = np.empty(outcomes)
-    codes = np.empty(outcomes, dtype=np.int64)
-    for start in range(0, outcomes, _ENUMERATION_BLOCK):
-        stop = min(start + _ENUMERATION_BLOCK, outcomes)
-        bits = _bit_rows(total_bits, start, stop)
-        weights[start:stop] = np.where(bits == 1, flat_p, 1.0 - flat_p).prod(axis=1)
-        lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, size)
-        block_codes = 0
-        for level in range(1, n + 1):
-            block_codes = block_codes * radix + np.count_nonzero(lo >= level, axis=1)
-        codes[start:stop] = block_codes
-    law = np.bincount(codes, weights=weights)
+    lo = kernels.leading_ones_rows(_all_bit_matrices(n))
+    digits = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)  # level 1 first
+    own = np.concatenate(([0], np.cumsum(digits)))[lo]  # one in each digit of levels 1..LO
+    codes = np.zeros(1, dtype=np.int64)
+    for _ in range(size):
+        codes = (codes[:, None] + own).ravel()
+    law = np.bincount(codes, weights=_product_weights(np.tile(marginals, size)))
     support = np.nonzero(np.bincount(codes))[0]
     return ExactDistribution(
         support=tuple(zip(*(values.tolist() for values in np.unravel_index(support, (radix,) * n)))),
@@ -203,7 +205,7 @@ def exact_transition(marginals: Sequence[float], lam: int, mu: int, noise_p: flo
         seen[:, k + 1, k] ^= 1
     scores = kernels.leading_ones_rows(seen.reshape(-1, n))
     noise_weights = np.array([1.0 - noise_p] + [noise_p / n] * (options - 1))
-    weights = (np.where(bits == 1, marginals, 1.0 - marginals).prod(axis=1)[:, None] * noise_weights).ravel()
+    weights = (_product_weights(marginals)[:, None] * noise_weights).ravel()
     outcome_bits = np.repeat(bits.astype(np.int64), options, axis=0)
     radix = mu + 1
     places = radix ** np.arange(n - 1, -1, -1)
@@ -243,18 +245,16 @@ def exact_expected_max_leading_ones(n: int, k: int, q: float) -> float:
 def brute_force_expected_max_leading_ones(n: int, k: int, q: float) -> float:
     """Same expectation by enumerating all 2**(n*k) joint outcomes.
 
-    The per-outcome terms are built in blocks into one array, summed once:
-    bit for bit the sum over the whole weight matrix.
+    Each outcome's maximum is one outer maximum per individual over the 2**n
+    single values, its weight a product over its bits; the terms are summed
+    once in outcome order.
     """
-    outcomes = _enumeration_outcomes(n * k)
-    terms = np.empty(outcomes)
-    for start in range(0, outcomes, _ENUMERATION_BLOCK):
-        stop = min(start + _ENUMERATION_BLOCK, outcomes)
-        bits = _bit_rows(n * k, start, stop)
-        weights = np.where(bits == 1, q, 1.0 - q).prod(axis=1)
-        lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, k)
-        terms[start:stop] = lo.max(axis=1) * weights
-    return float(terms.sum())
+    _enumeration_outcomes(n * k)
+    lo = kernels.leading_ones_rows(_all_bit_matrices(n))
+    best = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        best = np.maximum(best[:, None], lo).ravel()
+    return float((best * _product_weights(np.full(n * k, q))).sum())
 
 
 def total_variation(p: ExactDistribution, q: ExactDistribution) -> float:

@@ -31,7 +31,7 @@ def format_cell(value) -> str:
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
+    lines.extend(",".join(map(format_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -49,6 +49,9 @@ def line_chart(
         span = y_hi - y_lo if y_hi > y_lo else 1.0
         return _MARGIN_TOP + plot_h - (v - y_lo) / span * plot_h
 
+    # series share x values and LeadingOnes depths repeat: format each distinct value once
+    x_text = {v: f"{sx(v):.2f}" for v in set(xs)}
+    y_text = {v: f"{sy(v):.2f}" for v in set(ys)}
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -88,9 +91,9 @@ def line_chart(
         color = _PALETTE[idx % len(_PALETTE)]
         if s.kind == "points":
             for xv, yv in zip(s.x, s.y):
-                parts.append(f'<circle cx="{sx(xv):.2f}" cy="{sy(yv):.2f}" r="3.5" fill="{color}"/>')
+                parts.append(f'<circle cx="{x_text[xv]}" cy="{y_text[yv]}" r="3.5" fill="{color}"/>')
         else:
-            points = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(s.x, s.y))
+            points = " ".join(f"{x_text[xv]},{y_text[yv]}" for xv, yv in zip(s.x, s.y))
             parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         legend_y = _MARGIN_TOP + 16 * idx
         parts.append(f'<rect x="{_MARGIN_LEFT + 10}" y="{legend_y - 9}" width="10" height="10" fill="{color}"/>')

@@ -176,7 +176,10 @@ def test_summarize_trace_tau_is_minimal():
 
 
 def _replayed_trace(config):
-    """Trace columns by hand: ``step`` in a loop and ``iteration_stats`` on every recorded row."""
+    """Trace columns by hand: ``step`` in a loop, with ``z_mu`` and ``B`` of every recorded row per individual.
+
+    ``iteration_stats`` still runs on every recorded row, for its counting identity and ``z_star``.
+    """
     rng = np.random.default_rng(config.seed)
     model = init_model(config.n)
     columns = []
@@ -186,8 +189,10 @@ def _replayed_trace(config):
         best = int(fitness_true.max())
         final = best == config.n or config.lam * (t + 1) >= config.max_evals
         if final or t < engine.DENSE_UNTIL or t % engine.THIN_EVERY == 0:
-            stats = iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
-            columns.append((t, stats[0], stats[1], best, config.lam * (t + 1), stats[2]))
+            _, z_star, _ = iteration_stats(fitness_true, fitness_noisy, config.n, config.mu)
+            z_mu = int(np.sort(fitness_true)[-config.mu])  # the mu-th largest true score
+            misranked = np.count_nonzero((fitness_true <= z_mu) & (fitness_noisy > z_mu))
+            columns.append((t, z_mu, z_star, best, config.lam * (t + 1), misranked))
         if final:
             return np.array(columns).T
         model = clamp_vector(ones / config.mu, config.n)

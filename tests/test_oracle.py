@@ -104,13 +104,8 @@ def test_enumeration_equals_dict_walk_bit_for_bit():
     assert cases == 123
 
 
-@pytest.mark.parametrize("block", [1000, 4096])
-def test_enumeration_blocks_cross_at_the_cap(monkeypatch, block):
-    # the 16-bit cases of the dict-walk test span several blocks, the last one ragged at 1000
-    from umda_lab import oracle
-
-    assert oracle._ENUMERATION_BLOCK < 2**16
-    monkeypatch.setattr(oracle, "_ENUMERATION_BLOCK", block)
+def test_enumeration_at_the_cap_equals_dict_walk():
+    # the 16-bit cases of the dict-walk test: the deepest outer sums and products
     for marginals in [(0.5, 0.5, 0.5, 0.5), (2 / 3, 0.4, 0.3, 0.6), (0.5, 1.0, 0.0, 0.25)]:
         dist = enumerate_level_distribution(marginals, 4)
         support, probabilities = _enumerate_by_dict_walk(marginals, 4)
@@ -118,7 +113,7 @@ def test_enumeration_blocks_cross_at_the_cap(monkeypatch, block):
         assert np.array_equal(dist.probabilities, probabilities)
 
 
-def test_enumeration_holds_one_block_of_rows():
+def test_enumeration_peak_memory():
     import tracemalloc
 
     tracemalloc.start()
@@ -171,18 +166,14 @@ def _brute_force_whole_matrix(n, k, q):
     return float((lo.max(axis=1) * weights).sum())
 
 
-@pytest.mark.parametrize("block", [1000, 4096])
-def test_brute_force_blocks_equal_the_whole_matrix_bit_for_bit(monkeypatch, block):
-    from umda_lab import oracle
-
-    monkeypatch.setattr(oracle, "_ENUMERATION_BLOCK", block)
+def test_brute_force_equals_the_whole_matrix_bit_for_bit():
     cases = [(n, k, q) for n, k in [(1, 1), (2, 3), (3, 2), (5, 2), (2, 7), (4, 4), (16, 1), (1, 16)]
              for q in (0.3, 0.5, 0.9)]
     for n, k, q in cases:
         assert brute_force_expected_max_leading_ones(n, k, q) == _brute_force_whole_matrix(n, k, q), (n, k, q)
 
 
-def test_brute_force_holds_one_block_of_rows():
+def test_brute_force_peak_memory():
     import tracemalloc
 
     tracemalloc.start()
