@@ -104,13 +104,41 @@ def test_enumeration_equals_dict_walk_bit_for_bit():
     assert cases == 123
 
 
-def test_enumeration_at_the_cap_equals_dict_walk():
-    # the 16-bit cases of the dict-walk test: the deepest outer sums and products
+def _bit_row_blocks(total_bits, block):
+    """Bit rows of every code of ``total_bits`` bits, ``block`` codes at a time, the last block ragged."""
+    shifts = np.arange(total_bits - 1, -1, -1)
+    for start in range(0, 2**total_bits, block):
+        codes = np.arange(start, min(start + block, 2**total_bits), dtype=np.int64)
+        yield ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def _tally_in_blocks(marginals, size, block):
+    # reference: row-wise weights and count-vector codes built one block of populations at a time
+    marginals = np.asarray(marginals, dtype=np.float64)
+    n = marginals.shape[0]
+    flat_p = np.tile(marginals, size)
+    weights, codes = [], []
+    for bits in _bit_row_blocks(size * n, block):
+        weights.append(np.where(bits == 1, flat_p, 1.0 - flat_p).prod(axis=1))
+        lo = kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, size)
+        block_codes = 0
+        for level in range(1, n + 1):
+            block_codes = block_codes * (size + 1) + np.count_nonzero(lo >= level, axis=1)
+        codes.append(block_codes)
+    codes = np.concatenate(codes)
+    support = np.nonzero(np.bincount(codes))[0]
+    return np.bincount(codes, weights=np.concatenate(weights))[support]
+
+
+@pytest.mark.parametrize("block", [1000, 4096])
+def test_enumeration_blocks_cross_at_the_cap(block):
+    # the 16-bit cases of the dict-walk test, against a tally over row blocks, the last one ragged at 1000
     for marginals in [(0.5, 0.5, 0.5, 0.5), (2 / 3, 0.4, 0.3, 0.6), (0.5, 1.0, 0.0, 0.25)]:
         dist = enumerate_level_distribution(marginals, 4)
         support, probabilities = _enumerate_by_dict_walk(marginals, 4)
         assert dist.support == support
         assert np.array_equal(dist.probabilities, probabilities)
+        assert np.array_equal(dist.probabilities, _tally_in_blocks(marginals, 4, block))
 
 
 def test_enumeration_peak_memory():
@@ -166,11 +194,23 @@ def _brute_force_whole_matrix(n, k, q):
     return float((lo.max(axis=1) * weights).sum())
 
 
-def test_brute_force_equals_the_whole_matrix_bit_for_bit():
+def _brute_force_in_blocks(n, k, q, block):
+    """The same terms built one block of outcome rows at a time into one array, summed once."""
+    terms = []
+    for bits in _bit_row_blocks(n * k, block):
+        weights = np.where(bits == 1, q, 1.0 - q).prod(axis=1)
+        terms.append(kernels.leading_ones_rows(bits.reshape(-1, n)).reshape(-1, k).max(axis=1) * weights)
+    return float(np.concatenate(terms).sum())
+
+
+@pytest.mark.parametrize("block", [1000, 4096])
+def test_brute_force_blocks_equal_the_whole_matrix_bit_for_bit(block):
     cases = [(n, k, q) for n, k in [(1, 1), (2, 3), (3, 2), (5, 2), (2, 7), (4, 4), (16, 1), (1, 16)]
              for q in (0.3, 0.5, 0.9)]
     for n, k, q in cases:
-        assert brute_force_expected_max_leading_ones(n, k, q) == _brute_force_whole_matrix(n, k, q), (n, k, q)
+        value = brute_force_expected_max_leading_ones(n, k, q)
+        assert value == _brute_force_whole_matrix(n, k, q), (n, k, q)
+        assert value == _brute_force_in_blocks(n, k, q, block), (n, k, q)
 
 
 def test_brute_force_peak_memory():
