@@ -36,10 +36,12 @@ from .objectives import NoiseConfig, expected_noisy_fitness, leading_ones, noisy
 
 # ``oracle noise-expectation`` scores ``samples`` draws of one n-bit string
 # through a broadcast view, so no per-sample copy of the string is made.  The
-# cap budgets 2n + 32 bytes per sample, more than the peak needs: 2n for the
-# copies of the noisy rows, and four 8-byte entries (coin, true and noisy
-# score, a statistics temporary).  Requests above the cap are rejected before
-# anything is allocated.
+# cap budgets 2n + 32 bytes per sample, more than the peak needs.  The 2n term
+# is slack: the noisy rows are copied in bounded blocks, so no copy grows with
+# ``samples``.  The four 8-byte entries cover the coin, the true and noisy
+# score, and a statistics temporary.  The formula is kept so the set of
+# accepted requests does not change.  Requests above the cap are rejected
+# before anything is allocated.
 NOISE_SAMPLE_MAX_BYTES = 2**27
 
 

@@ -157,7 +157,7 @@ def sort_by_fitness(fitness_noisy: np.ndarray) -> np.ndarray:
 
 
 def _check_ranked(fitness_noisy: np.ndarray) -> None:
-    if (fitness_noisy[1:] > fitness_noisy[:-1]).any():
+    if np.count_nonzero(fitness_noisy[1:] > fitness_noisy[:-1]):
         raise ValueError("sorted population must have non-increasing fitness")
 
 

@@ -13,9 +13,10 @@ manifest alone.  Replications use independent substreams derived from the
 master seed by a platform-stable counter mix.
 
 With ``jobs > 1`` the replications run in worker processes, at most one per
-replication and per CPU.  The engine's per-iteration work is many small
-numpy calls that hold the interpreter lock, so threads would take turns
-rather than run side by side.  Each worker holds its own copy of the model
+replication and per CPU.  The process pool is imported only then, so a
+``jobs=1`` run never loads ``multiprocessing``.  The engine's per-iteration
+work is many small numpy calls that hold the interpreter lock, so threads
+would take turns rather than run side by side.  Each worker holds its own copy of the model
 and draws from the run's own stream, so results do not depend on ``jobs``.
 A worker receives one ``UmdaConfig`` and runs ``_run_replication``, a
 module-level function that calls ``run`` by global lookup: callers may
@@ -30,7 +31,6 @@ import math
 import os
 import shutil
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -494,6 +494,8 @@ def _execute(
     ]
     workers = min(jobs, len(run_configs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only worker runs load the pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replication, run_configs))
     else:

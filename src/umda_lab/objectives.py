@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .model import Bitstring, Population
+from .model import _SAMPLE_BLOCK_DOUBLES, Bitstring, Population
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,24 @@ def noisy_leading_ones_batch(
 
     Stream order per call: one coin per row, then one flip index per noisy
     row (row order).  With ``p`` = 0 nothing is drawn and the true scores are
-    returned unchanged.
+    returned unchanged.  Only the noisy rows' indices outlive the coin draw,
+    and the noisy rows are copied, flipped and scored in blocks of at most
+    ``_SAMPLE_BLOCK_DOUBLES // n`` rows (one row if a row is longer), so a
+    broadcast ``bits`` never grows a full-size copy.
     """
     if not noise.active:
         return fitness_true
     rows, n = bits.shape
-    coins = rng.random(rows)
-    noisy_rows = np.nonzero(coins < noise.p)[0]
+    noisy_rows = np.nonzero(rng.random(rows) < noise.p)[0]
     fitness = fitness_true.copy()
     if noisy_rows.size:
         flips = rng.integers(0, n, size=noisy_rows.size)
-        flipped = bits[noisy_rows]  # fancy indexing copies
-        flipped[np.arange(noisy_rows.size), flips] ^= 1
-        fitness[noisy_rows] = kernels.leading_ones_rows(flipped)
+        block = max(1, _SAMPLE_BLOCK_DOUBLES // n)
+        for start in range(0, noisy_rows.size, block):
+            chunk = noisy_rows[start:start + block]
+            flipped = bits[chunk]  # fancy indexing copies
+            flipped[np.arange(chunk.size), flips[start:start + block]] ^= 1
+            fitness[chunk] = kernels.leading_ones_rows(flipped)
     return fitness
 
 

@@ -288,6 +288,23 @@ def test_oracle_noise_expectation_reads_one_copy_of_the_string(capsys):
     assert peak < 20 * 2**20  # 100,000 tiled copies of 200 bits alone take 19 MiB
 
 
+def test_oracle_noise_expectation_holds_one_score_array_at_its_defaults(capsys):
+    import tracemalloc
+
+    _run_cli(capsys, "oracle", "noise-expectation", "--samples", "2")  # imports what a first call loads
+    tracemalloc.start()
+    try:
+        code, out, _ = _run_cli(capsys, "oracle", "noise-expectation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["samples"] == 200_000
+    # the floor is the noisy scores plus one statistics temporary, 2 x 8 B x 200,000
+    # (3.05 MiB); one copy of every noisy row at once peaks at 5.0 MiB, 6.5 with the coins kept
+    assert peak < 4 * 2**20
+
+
 def test_oracle_noise_expectation(capsys):
     code, out, _ = _run_cli(capsys, "oracle", "noise-expectation", "--n", "15", "--p", "0.25",
                             "--samples", "100000", "--seed", "3")
@@ -395,7 +412,17 @@ def test_cli_import_leaves_scipy_unloaded():
     import subprocess
     import sys
 
-    code = "import sys, umda_lab.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, umda_lab.cli\n"
+        "from umda_lab.experiments import ExperimentConfig, MuRule, run_experiment\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
+        "                  or m == 'concurrent.futures.process')\n"
+        "print(loaded())\n"
+        "run_experiment(ExperimentConfig(scenario='low_pressure', n_values=(30,), replications=2, master_seed=7,\n"
+        "                                mu_rule=MuRule('n'), iterations_cap=5), jobs=1)\n"
+        "print(loaded())\n"
+    )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
     if "PYTHONDONTWRITEBYTECODE" in os.environ:  # the child writes no bytecode cache either
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
@@ -406,4 +433,5 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    # neither the import nor a jobs=1 run loads scipy or the process pool
+    assert out.stdout.splitlines() == ["[]", "[]"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -363,7 +364,7 @@ def test_workers_started_by_spawn_give_the_same_rows(monkeypatch):
     """Workers that import the package afresh, as on platforms that do not fork."""
     expected = run_experiment(_NOISY, jobs=1).rows
     spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)  # imported when a pool starts
     assert run_experiment(_NOISY, jobs=2).rows == expected
 
 
@@ -410,7 +411,7 @@ class _InlinePool:
 ])
 def test_pool_size_is_bounded(monkeypatch, jobs, cpus, replications, expected):
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     config = _config(replications=replications)
     rows = run_experiment(config, jobs=jobs).rows

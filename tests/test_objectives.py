@@ -12,7 +12,7 @@ from umda_lab import (
     kernels,
     leading_ones,
 )
-from umda_lab.model import Population, init_model, sample_population
+from umda_lab.model import _SAMPLE_BLOCK_DOUBLES, Population, init_model, sample_population
 from umda_lab.objectives import noisy_leading_ones_batch
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40)
@@ -145,6 +145,52 @@ def test_batch_monte_carlo_matches_expected_noisy_fitness():
     scores = noisy_leading_ones_batch(tiled, true_fit, noise, rng)
     sigma = float(scores.std(ddof=1)) / math.sqrt(draws)
     assert abs(float(scores.mean()) - exact) <= 3 * sigma
+
+
+def _unblocked_noisy_batch(bits, fitness_true, noise, rng):
+    """The noisy scores with every noisy row copied at once, as before row blocks."""
+    rows, n = bits.shape
+    coins = rng.random(rows)
+    noisy_rows = np.nonzero(coins < noise.p)[0]
+    fitness = fitness_true.copy()
+    if noisy_rows.size:
+        flips = rng.integers(0, n, size=noisy_rows.size)
+        flipped = bits[noisy_rows]
+        flipped[np.arange(noisy_rows.size), flips] ^= 1
+        fitness[noisy_rows] = kernels.leading_ones_rows(flipped)
+    return fitness
+
+
+def _broadcast_rows():
+    # 16 leading ones: most flips move the score.  About 60,000 noisy rows span
+    # 18 full blocks of 3,276 rows and a partial last one.
+    x = np.ones(20, dtype=np.uint8)
+    x[16] = 0
+    return np.broadcast_to(x, (200_000, 20)), 0.3
+
+
+def _long_rows():
+    # rows longer than the block bound are scored one row per block
+    n = _SAMPLE_BLOCK_DOUBLES + 37
+    rng = np.random.default_rng(4)
+    bits = (rng.random((12, n)) < 0.5).astype(np.uint8)
+    prefix = rng.integers(n // 2, n, size=12)
+    bits[np.arange(n) < prefix[:, None]] = 1  # long prefixes: most flips move the score
+    return bits, 0.6
+
+
+@pytest.mark.parametrize("make_rows", [_broadcast_rows, _long_rows])
+def test_blocked_batch_equals_the_unblocked_batch_bit_for_bit(make_rows):
+    rows, p = make_rows()
+    assert max(1, _SAMPLE_BLOCK_DOUBLES // rows.shape[1]) < rows.shape[0] * p / 2  # several blocks
+    true_fit = kernels.leading_ones_rows(rows)
+    blocked_rng, reference_rng = np.random.default_rng(31), np.random.default_rng(31)
+    blocked = noisy_leading_ones_batch(rows, true_fit, NoiseConfig(p), blocked_rng)
+    expected = _unblocked_noisy_batch(rows, true_fit, NoiseConfig(p), reference_rng)
+    assert blocked.dtype == expected.dtype
+    assert np.array_equal(blocked, expected)
+    assert np.count_nonzero(blocked != true_fit) > rows.shape[0] * p / 4  # the flips reached the scores
+    assert blocked_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_batch_zero_noise_returns_true_fitness_without_draws():
